@@ -101,17 +101,15 @@ fn bench_typecheck_engines(c: &mut Criterion) {
 }
 
 fn bench_pipeline_engines(c: &mut Criterion) {
-    // Full compile (source check → translate → target re-check) with the
-    // metatheory verification off, so the two engines see identical work.
+    // Full compile (source check → translate → target re-check → verify)
+    // on each engine; both run the same phases, so they see identical work.
     let step_compiler = Compiler::with_options(CompilerOptions {
         typecheck_output: true,
-        verify_type_preservation: false,
         use_nbe: false,
         ..CompilerOptions::default()
     });
     let nbe_compiler = Compiler::with_options(CompilerOptions {
         typecheck_output: true,
-        verify_type_preservation: false,
         use_nbe: true,
         ..CompilerOptions::default()
     });

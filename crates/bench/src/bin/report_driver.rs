@@ -27,12 +27,13 @@
 //!   is ≥ 10× faster than the 1-worker cold build;
 //! * **restart-warm** — a **separate operating-system process** rebuilding
 //!   the 16-unit diamond against a store another process populated
-//!   compiles zero units and is ≥ 25× faster than a cold process
-//!   (measured by spawning this binary as probe children, so symbol
-//!   relocation and fingerprint stability are exercised across real
-//!   process boundaries; the bar was 100× before the query layer made
-//!   cold builds themselves ~4-5× faster by settling check/verify once
-//!   per α-class);
+//!   compiles zero units, runs zero phases, decodes zero term-payload
+//!   sections, and finishes under a fixed absolute bound
+//!   ([`RESTART_WARM_MAX_NS`]), measured by spawning this binary as probe
+//!   children, so symbol relocation and fingerprint stability are
+//!   exercised across real process boundaries. The warm-vs-cold ratio is
+//!   reported but not gated: its denominator is the cold pipeline, so
+//!   every compiler speed-up would shrink it;
 //! * **scheduling** — on the skewed workload the critical-path-first
 //!   frontier's modelled makespan is no worse than FIFO's at every worker
 //!   count and strictly better at 2 workers;
@@ -73,6 +74,12 @@ use std::time::Instant;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const RESTART_PROBE_FLAG: &str = "--restart-probe";
+/// Upper bound on the restart-warm probe's best-of-reps build (ns). The
+/// warm build of the 16-unit diamond measured 0.09–0.17 ms on a 2-CPU
+/// host, against ~2 ms for a storeless cold process; the bound leaves
+/// headroom for slower CI runners while still failing a warm path that
+/// drifts towards cold cost.
+const RESTART_WARM_MAX_NS: u128 = 1_000_000;
 
 /// Frontier release policy for the makespan model.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -293,6 +300,10 @@ struct ProbeNumbers {
     compiled: usize,
     cached: usize,
     disk_cached: usize,
+    /// Pipeline phases the build executed, summed over units.
+    phases: usize,
+    /// Term-payload sections the build decoded from the store.
+    sections_decoded: u64,
     observed: Option<bool>,
     differential_ok: bool,
 }
@@ -359,10 +370,13 @@ fn run_restart_probe(dir: &str, mode: &str) {
     let observed = session.observe(root_of(&units)).expect("root links");
 
     println!(
-        "probe wall_ns={wall_ns} compiled={} cached={} disk_cached={} observed={} differential={}",
+        "probe wall_ns={wall_ns} compiled={} cached={} disk_cached={} phases={} \
+         sections_decoded={} observed={} differential={}",
         report.compiled_count(),
         report.cached_count(),
         report.disk_cached_count(),
+        report.queries.total(),
+        report.store.map_or(0, |store| store.sections_decoded),
         observed.map_or_else(|| "null".to_owned(), |b| b.to_string()),
         if differential_ok { "ok" } else { "mismatch" },
     );
@@ -397,6 +411,8 @@ fn spawn_restart_probe(dir: &std::path::Path, mode: &str) -> ProbeNumbers {
         compiled: field("compiled").parse().expect("compiled parses"),
         cached: field("cached").parse().expect("cached parses"),
         disk_cached: field("disk_cached").parse().expect("disk_cached parses"),
+        phases: field("phases").parse().expect("phases parses"),
+        sections_decoded: field("sections_decoded").parse().expect("sections_decoded parses"),
         observed: match field("observed").as_str() {
             "true" => Some(true),
             "false" => Some(false),
@@ -901,15 +917,12 @@ fn main() {
         );
     }
 
-    // Restart-warm gates: the warm *process* compiles nothing, loads
-    // everything from disk, produces oracle-identical output, and beats
-    // the storeless cold process by >= 25x. (This gate was >= 100x when
-    // a cold build ran check/verify for all 16 units; the query layer's
-    // content-addressed memos now settle those phases once per α-class,
-    // which made the *cold* denominator ~4-5x faster while the warm
-    // process — already compile-free — stayed at the same tens of
-    // microseconds. The ratio shrank because cold improved, so the bar
-    // moves with it.)
+    // Restart-warm gates: the warm *process* compiles nothing, runs no
+    // phase, loads everything from disk without decoding a term payload,
+    // produces oracle-identical output, and stays under an absolute
+    // bound. The warm-vs-cold ratio is not gated: its denominator is the
+    // cold pipeline, so a faster compiler would fail a ratio gate while
+    // the warm process did not change.
     for (mode, probe) in
         [("baseline", &restart.baseline), ("cold", &restart.store_cold), ("warm", &restart.warm)]
     {
@@ -920,10 +933,15 @@ fn main() {
     assert_eq!(restart.baseline.compiled, 16, "the baseline process must compile everything");
     assert_eq!(restart.warm.compiled, 0, "the restart-warm process must compile zero units");
     assert_eq!(restart.warm.disk_cached, 16, "every warm unit must load from the store");
+    assert_eq!(restart.warm.phases, 0, "the restart-warm process must run zero phases");
+    assert_eq!(
+        restart.warm.sections_decoded, 0,
+        "the restart-warm build must decode zero term-payload sections"
+    );
     assert!(
-        restart.speedup() >= 25.0,
-        "restart-warm is only {:.1}x faster than a cold process (need >= 25x)",
-        restart.speedup()
+        restart.warm.wall_ns <= RESTART_WARM_MAX_NS,
+        "restart-warm build took {} ns (need <= {RESTART_WARM_MAX_NS} ns)",
+        restart.warm.wall_ns
     );
 
     // Scheduling gates, on the skewed family: critical-path release is
@@ -1046,10 +1064,12 @@ fn main() {
     );
     println!(
         "gates passed: differential ok on {} workloads + 3 restart probes + the edit script, \
-         warm rebuilds compile 0 units, restart-warm {:.1}x vs cold process, \
+         warm rebuilds compile 0 units, restart-warm process ran 0 phases and decoded \
+         0 sections in {} ns ({:.1}x vs cold process, not gated), \
          every edit re-ran exactly its predicted phases (impl-only {:.1}x vs no-cutoff), \
          critical-path <= FIFO on skewed, 2-worker throughput {two_worker_throughput:.2}x",
         measured.len(),
+        restart.warm.wall_ns,
         restart.speedup(),
         impl_only.speedup(),
     );
@@ -1095,8 +1115,8 @@ fn render_query_json(query: &QueryNumbers, reps: u32) -> String {
     ));
     out.push_str("  \"edits\": [\n");
     for (index, step) in query.steps.iter().enumerate() {
-        // Zero-pipeline-work steps (α-rename, the verify-only flip)
-        // complete in microseconds on both sessions — a ratio of two
+        // A zero-pipeline-work step (the α-rename) completes in
+        // microseconds on both sessions — a ratio of two
         // noise-floor walls swings run to run and reads as a regression
         // when nothing changed. Report those as an absolute delta; keep
         // the ratio for steps the model predicts real work on.
@@ -1161,13 +1181,17 @@ fn render_json(
     out.push_str(&format!(
         "  \"restart_warm\": {{ \"workload\": \"diamond_16\", \
          \"baseline_cold_process_ns\": {}, \"store_cold_process_ns\": {}, \
-         \"warm_process_ns\": {}, \"warm_compiled_units\": {}, \
-         \"warm_disk_cached_units\": {}, \"speedup_vs_cold_process\": {:.1} }},\n",
+         \"warm_process_ns\": {}, \"warm_process_max_ns\": {RESTART_WARM_MAX_NS}, \
+         \"warm_compiled_units\": {}, \"warm_disk_cached_units\": {}, \
+         \"warm_phases\": {}, \"warm_sections_decoded\": {}, \
+         \"speedup_vs_cold_process\": {:.1} }},\n",
         restart.baseline.wall_ns,
         restart.store_cold.wall_ns,
         restart.warm.wall_ns,
         restart.warm.compiled,
         restart.warm.disk_cached,
+        restart.warm.phases,
+        restart.warm.sections_decoded,
         restart.speedup(),
     ));
     out.push_str(&format!(

@@ -165,7 +165,6 @@ fn main() {
 
     let nbe_compiler = Compiler::with_options(CompilerOptions {
         typecheck_output: true,
-        verify_type_preservation: false,
         use_nbe: true,
         ..CompilerOptions::default()
     });

@@ -1,5 +1,6 @@
 //! A user-facing compiler pipeline: parse → type check → closure convert →
-//! re-check → (optionally) verify the metatheory on the given program.
+//! re-check → verify that the re-checked type is the translated type
+//! (the conversion Theorem 5.6 leaves once the output type checks).
 //!
 //! This is the API the examples and benchmarks drive. It packages the
 //! lower-level pieces ([`mod@crate::translate`], [`crate::verify`],
@@ -15,7 +16,7 @@
 
 use crate::link::{LinkError, SourceSubstitution};
 use crate::translate::{translate, translate_env, TranslateError};
-use crate::verify::{check_type_preservation, VerifyError};
+use crate::verify::VerifyError;
 use cccc_source as src;
 use cccc_target as tgt;
 use cccc_util::diag::{diagnostics_to_json, Diagnostic};
@@ -27,20 +28,16 @@ use std::fmt;
 #[derive(Clone, Copy, Debug)]
 pub struct CompilerOptions {
     /// Re-type-check the produced CC-CC term (rule-by-rule, in the target
-    /// type system). On by default: this is the "typed" in typed closure
-    /// conversion.
+    /// type system) and verify that its inferred type is convertible to
+    /// the translation of the input's type (Theorem 5.6). On by default:
+    /// this is the "typed" in typed closure conversion.
     pub typecheck_output: bool,
-    /// Additionally check that the output's type is the translation of the
-    /// input's type (Theorem 5.6), not merely some type.
-    pub verify_type_preservation: bool,
     /// Run the type checkers on the normalization-by-evaluation engine
     /// (the default). When `false`, the substitution-based step engine —
     /// the paper-faithful specification — is used instead; this exists for
-    /// differential testing and for the head-to-head benchmarks. A
-    /// step-only compiler replaces the NbE-backed
-    /// [`check_type_preservation`] metatheory checker with the inline
-    /// Theorem 5.6 core check (inferred target type ≡ translated type)
-    /// through the step engine, so no NbE code runs.
+    /// differential testing and for the head-to-head benchmarks. Every
+    /// phase, verify included, runs on the selected engine, so a
+    /// step-only compiler runs no NbE code.
     pub use_nbe: bool,
     /// Attach a [`CacheReport`] to each [`Compilation`]: the interner and
     /// conversion-memo activity (hits, misses, table sizes, prunes) this
@@ -77,7 +74,6 @@ impl Default for CompilerOptions {
     fn default() -> Self {
         CompilerOptions {
             typecheck_output: true,
-            verify_type_preservation: true,
             use_nbe: true,
             collect_cache_stats: false,
             keep_going: false,
@@ -290,9 +286,9 @@ pub struct PhaseNanos {
     /// Re-type-checking the produced CC-CC term (0 when
     /// [`CompilerOptions::typecheck_output`] is off).
     pub check: u64,
-    /// The type-preservation verification — Theorem 5.6 via
-    /// [`check_type_preservation`] or the inline core check (0 when
-    /// output checking is off).
+    /// The type-preservation verification: one conversion check of the
+    /// inferred target type against the translated type (0 when output
+    /// checking is off).
     pub verify: u64,
 }
 
@@ -917,22 +913,28 @@ impl Compiler {
         Ok((target_env, inferred, ns))
     }
 
-    /// Runs the `verify` phase alone: Theorem 5.6 on the unit — the full
-    /// [`check_type_preservation`] checker when
-    /// [`CompilerOptions::verify_type_preservation`] is set and NbE is
-    /// available, the inline core check (inferred target type ≡
-    /// translated type) otherwise. `target_env` is reused when the
+    /// Runs the `verify` phase alone: the one obligation Theorem 5.6
+    /// leaves once `check` has inferred `Γ⁺ ⊢ e⁺ : B` — the conversion
+    /// `B ≡ A⁺` between the check phase's `inferred` type and the
+    /// translate phase's `target_type`, decided in `target_env` on the
+    /// configured engine. The check is on the artifact the caller holds,
+    /// not on a fresh re-translation. `target_env` is reused when the
     /// caller just ran [`Compiler::phase_check`]; passing `None` (a
-    /// verify-only re-run against cached artifacts) re-translates the
-    /// environment inside the phase. Returns the phase's nanoseconds.
+    /// verify-only re-run against a memoized check) translates the
+    /// environment inside the phase. `_term` is unused — typecheck,
+    /// translate and check already consumed it — and stays in the
+    /// signature so existing callers keep compiling. Returns the phase's
+    /// nanoseconds.
     ///
     /// # Errors
     ///
-    /// Returns a [`CompileError::Verify`] if preservation fails.
+    /// Returns a [`CompileError::Verify`] naming Theorem 5.6 if the two
+    /// types are not convertible, or a [`CompileError::Translate`] if the
+    /// environment must be translated and that fails.
     pub fn phase_verify(
         &self,
         env: &src::Env,
-        term: &src::Term,
+        _term: &src::Term,
         target_env: Option<&tgt::Env>,
         inferred: &tgt::Term,
         target_type: &tgt::Term,
@@ -940,38 +942,24 @@ impl Compiler {
         let engine =
             if self.options.use_nbe { tgt::equiv::Engine::Nbe } else { tgt::equiv::Engine::Step };
         let (verified, ns) = trace::timed("verify", || {
-            if self.options.verify_type_preservation && self.options.use_nbe {
-                // Re-use the full checker so the error message names the
-                // theorem being violated. (The metatheory checkers run the
-                // default NbE engine, so a step-only compiler falls back to
-                // the inline Theorem 5.6 core check below — it must not
-                // silently re-enter the engine it was asked to avoid.)
-                check_type_preservation(env, term)?;
-            } else {
-                let owned_env;
-                let target_env = match target_env {
-                    Some(existing) => existing,
-                    None => {
-                        owned_env = translate_env(env)?;
-                        &owned_env
-                    }
-                };
-                let mut fuel = cccc_util::fuel::Fuel::default();
-                let agrees = tgt::equiv::equiv_with_engine(
-                    target_env,
-                    inferred,
-                    target_type,
-                    &mut fuel,
-                    engine,
-                )
-                .unwrap_or(false);
-                if !agrees {
-                    return Err(CompileError::Verify(VerifyError::NotEquivalent {
-                        context: "compiled type does not match translated type".to_owned(),
-                        left: inferred.to_string(),
-                        right: target_type.to_string(),
-                    }));
+            let owned_env;
+            let target_env = match target_env {
+                Some(existing) => existing,
+                None => {
+                    owned_env = translate_env(env)?;
+                    &owned_env
                 }
+            };
+            let mut fuel = cccc_util::fuel::Fuel::default();
+            let agrees =
+                tgt::equiv::equiv_with_engine(target_env, inferred, target_type, &mut fuel, engine)
+                    .unwrap_or(false);
+            if !agrees {
+                return Err(CompileError::Verify(VerifyError::NotEquivalent {
+                    context: "type preservation (Theorem 5.6)".to_owned(),
+                    left: inferred.to_string(),
+                    right: target_type.to_string(),
+                }));
             }
             Ok::<_, CompileError>(())
         });
@@ -1185,14 +1173,37 @@ mod tests {
 
     #[test]
     fn options_can_disable_verification() {
-        let options = CompilerOptions {
-            typecheck_output: false,
-            verify_type_preservation: false,
-            ..CompilerOptions::default()
-        };
+        let options = CompilerOptions { typecheck_output: false, ..CompilerOptions::default() };
         let compiler = Compiler::with_options(options);
         assert!(!compiler.options().typecheck_output);
         compiler.compile_closed(&prelude::poly_id()).unwrap();
+    }
+
+    #[test]
+    fn phase_verify_checks_the_types_it_is_given() {
+        // `Π A:⋆. A → A` compiled, then verified against `Bool⁺`: the
+        // verdict must come from the two types passed in, not from a
+        // re-derivation of the unit.
+        let env = src::Env::new();
+        let term = prelude::poly_id();
+        let wrong_type = translate(&env, &s::bool_ty()).unwrap();
+        let step = CompilerOptions { use_nbe: false, ..CompilerOptions::default() };
+        for options in [CompilerOptions::default(), step] {
+            let compiler = Compiler::with_options(options);
+            let compilation = compiler.compile(&env, &term).unwrap();
+            let (target_env, inferred, _) =
+                compiler.phase_check(&env, &compilation.target).unwrap();
+            for given_env in [Some(&target_env), None] {
+                compiler
+                    .phase_verify(&env, &term, given_env, &inferred, &compilation.target_type)
+                    .unwrap();
+                let error = compiler
+                    .phase_verify(&env, &term, given_env, &inferred, &wrong_type)
+                    .unwrap_err();
+                assert!(matches!(error, CompileError::Verify(_)), "{error}");
+                assert!(error.to_string().contains("Theorem 5.6"), "{error}");
+            }
+        }
     }
 
     #[test]
@@ -1352,7 +1363,6 @@ mod tests {
         // Disabling output checking zeroes the downstream phases.
         let unchecked = Compiler::with_options(CompilerOptions {
             typecheck_output: false,
-            verify_type_preservation: false,
             ..CompilerOptions::default()
         })
         .compile_closed(&prelude::poly_id())

@@ -24,8 +24,11 @@
 //!   persists hits as tiny on-disk records so restarts skip them too.
 //!
 //! Each key bakes in exactly the [`CompilerOptions`] bits that can change
-//! the phase's result, so flipping `verify_type_preservation` invalidates
-//! only the verified query — the artifact and check queries still hit.
+//! the phase's result: `use_nbe`, which swaps the checking engine of every
+//! phase. `typecheck_output` is left out of all three: it decides whether
+//! the check and verified queries are asked at all, not what they answer,
+//! so turning it on re-runs only check and verify against cached
+//! artifacts.
 //!
 //! [`QueryState`] is the in-memory memo table shared by all workers of a
 //! [`Session`](crate::session::Session); [`PhaseRuns`] records, per unit
@@ -39,7 +42,7 @@ use cccc_util::wire::{Fingerprint, WireTerm};
 
 /// Domain-separation words mixed into each query key so that the three
 /// query kinds can never collide even when built from the same inputs.
-/// The low bits carry the option flags relevant to that query.
+/// The low bit carries the option flag relevant to every query.
 const DOMAIN_ARTIFACT: u64 = 0x71AF_0000_0000_0000;
 const DOMAIN_CHECK: u64 = 0x71C4_0000_0000_0000;
 const DOMAIN_VERIFY: u64 = 0x71F7_0000_0000_0000;
@@ -47,7 +50,7 @@ const DOMAIN_VERIFY: u64 = 0x71F7_0000_0000_0000;
 /// Key of the `unit → cc-artifact` query: the unit's α-invariant source
 /// fingerprint, the dependency fold (see [`fold_dep`]), and the options
 /// that change what the translator produces (`use_nbe` swaps the whole
-/// checking engine; the verify-side flags do not touch the artifact).
+/// checking engine).
 pub fn artifact_key(
     source_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
@@ -68,20 +71,17 @@ pub fn check_key(
 }
 
 /// Key of the `unit → verified` query: source, dependency fold, output,
-/// and both verify-relevant option bits. Flipping
-/// `verify_type_preservation` therefore re-runs *only* this query — the
-/// cached artifact and check memo still hit.
+/// and the engine bit.
 pub fn verify_key(
     source_alpha: Fingerprint,
     dep_fingerprint: Fingerprint,
     output_alpha: Fingerprint,
     options: &CompilerOptions,
 ) -> Fingerprint {
-    source_alpha.combine(dep_fingerprint).combine(output_alpha).combine_word(
-        DOMAIN_VERIFY
-            | u64::from(options.use_nbe)
-            | (u64::from(options.verify_type_preservation) << 1),
-    )
+    source_alpha
+        .combine(dep_fingerprint)
+        .combine(output_alpha)
+        .combine_word(DOMAIN_VERIFY | u64::from(options.use_nbe))
 }
 
 /// Folds one dependency's contribution into a dependency fingerprint.
@@ -245,14 +245,12 @@ mod tests {
         assert_ne!(a, v, "artifact and verify keys must not collide");
         assert_ne!(c, v, "check and verify keys must not collide");
 
-        // Verify-side flags must not disturb the artifact or check keys
-        // (that is what makes a verify-only option flip cheap)...
-        let flipped =
-            CompilerOptions { verify_type_preservation: !base.verify_type_preservation, ..base };
-        assert_eq!(a, artifact_key(s, d, &flipped));
-        assert_eq!(c, check_key(s, d, &flipped));
-        // ...but they must invalidate the verified query.
-        assert_ne!(v, verify_key(s, d, o, &flipped));
+        // Whether output checking is on changes no answer, so it is in
+        // no key: turning it on reuses every cached artifact.
+        let unchecked = CompilerOptions { typecheck_output: !base.typecheck_output, ..base };
+        assert_eq!(a, artifact_key(s, d, &unchecked));
+        assert_eq!(c, check_key(s, d, &unchecked));
+        assert_eq!(v, verify_key(s, d, o, &unchecked));
 
         // The engine choice changes every phase's behaviour, so it is
         // baked into every key.

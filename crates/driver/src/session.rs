@@ -59,8 +59,8 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UnitStatus {
     /// At least one pipeline phase executed ([`UnitReport::phase_runs`]
-    /// says which — a verify-only re-run reports `Compiled` with only
-    /// that phase marked).
+    /// says which — a re-run against a cached artifact reports
+    /// `Compiled` with only check and verify marked).
     Compiled,
     /// Every phase was answered from caches: a fingerprint-matching
     /// artifact plus a memoized (or stored) verification verdict.
@@ -598,9 +598,9 @@ impl Session {
     /// Replaces the compiler options for subsequent builds. Every query
     /// key bakes in exactly the option bits its phase depends on, so
     /// switching options never serves a stale result — and switching
-    /// *back* re-hits everything computed under the earlier options. A
-    /// verify-only flip (e.g. `verify_type_preservation`) re-runs only
-    /// the verify phase against cached cc-artifacts.
+    /// *back* re-hits everything computed under the earlier options.
+    /// Turning `typecheck_output` on re-runs only the check and verify
+    /// phases against cached cc-artifacts.
     pub fn set_options(&mut self, options: CompilerOptions) {
         self.options = options;
     }
@@ -1307,7 +1307,7 @@ fn handle_unit(
 /// query; a hit means *zero* phases run — and, on a lazily loaded
 /// artifact, zero section decodes — a miss means exactly the
 /// check/verify phases re-run against the cached cc-artifact (this is
-/// where a verify-only option flip lands).
+/// where turning `typecheck_output` on lands).
 ///
 /// Returns `None` when the artifact's lazily loaded term sections turn
 /// out to have rotted on disk (the deferred decode failed its

@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn query_line_and_skip_markers_render() {
-        let (units, steps) = crate::workloads::edits(1);
+        let (units, _) = crate::workloads::edits(1);
         let mut session = crate::workloads::session_from(&units, CompilerOptions::default());
         let cold = session.build(1).unwrap();
         let rendered = render(&cold);
@@ -231,14 +231,18 @@ mod tests {
         // (settled once per α-class) and the table says so.
         assert!(rendered.contains("[skipped: check, verify]"));
 
-        // A verify-only option flip: three units re-verify, the table
-        // marks everything else they skipped.
-        crate::workloads::apply_edit(&mut session, &steps[3].action);
-        let flipped = session.build(1).unwrap();
-        let rendered = render(&flipped);
-        assert!(rendered.contains("queries: phases 0tc/0tr/0ck/3vf run"));
-        assert!(rendered.contains("61 cut off"));
-        assert!(rendered.contains("[skipped: typecheck, translate, check]"));
+        // Turning output checking on over unchecked artifacts: three
+        // units re-run check and verify, the table marks what they
+        // skipped.
+        let unchecked = CompilerOptions { typecheck_output: false, ..CompilerOptions::default() };
+        let mut session = crate::workloads::session_from(&units, unchecked);
+        session.build(1).unwrap();
+        session.set_options(CompilerOptions::default());
+        let checked = session.build(1).unwrap();
+        let rendered = render(&checked);
+        assert!(rendered.contains("queries: phases 0tc/0tr/3ck/3vf run"));
+        assert!(rendered.contains("58 cut off"));
+        assert!(rendered.contains("[skipped: typecheck, translate]"));
 
         // A fully-cached rebuild keeps the bare "-" cells.
         let warm = session.build(1).unwrap();

@@ -206,19 +206,14 @@ pub fn broken_web() -> Vec<WorkUnit> {
     ]
 }
 
-/// What one scripted edit does to a session between builds.
+/// What one scripted edit does to a session between builds: replace
+/// `unit`'s source with `term`.
 #[derive(Clone, Debug)]
-pub enum EditAction {
-    /// Replace `unit`'s source with `term`.
-    Update {
-        /// The unit to edit.
-        unit: &'static str,
-        /// Its new source.
-        term: src::Term,
-    },
-    /// Flip `verify_type_preservation` relative to the session's current
-    /// options (a verify-only option change — artifacts stay valid).
-    FlipVerifyTypePreservation,
+pub struct EditAction {
+    /// The unit to edit.
+    pub unit: &'static str,
+    /// Its new source.
+    pub term: src::Term,
 }
 
 /// One step of a scripted edit stream: the edit itself plus exactly what
@@ -245,18 +240,7 @@ pub struct EditStep {
 
 /// Applies one edit action to a session (between builds).
 pub fn apply_edit(session: &mut Session, action: &EditAction) {
-    match action {
-        EditAction::Update { unit, term } => {
-            session.update_unit(unit, term).expect("edit scripts target existing units");
-        }
-        EditAction::FlipVerifyTypePreservation => {
-            let options = session.options();
-            session.set_options(CompilerOptions {
-                verify_type_preservation: !options.verify_type_preservation,
-                ..options
-            });
-        }
-    }
+    session.update_unit(action.unit, &action.term).expect("edit scripts target existing units");
 }
 
 /// The `edits` workload family: the 16-unit [`diamond`] (14 middles)
@@ -272,9 +256,7 @@ pub fn apply_edit(session: &mut Session, action: &EditAction) {
 /// 3. `signature` — `base` now returns `Bool` (`λ A : ⋆. λ x : A. tt`):
 ///    every unit re-keys (the middles still type-check — they only
 ///    apply `base` — so the whole graph recompiles, check/verify once
-///    per α-class);
-/// 4. `verify_flip` — `verify_type_preservation` flips: artifacts and
-///    check memos hit, exactly one verify re-runs per α-class.
+///    per α-class).
 ///
 /// Steps are cumulative: each prediction is against the state the
 /// previous steps left behind.
@@ -308,30 +290,21 @@ pub fn edits(work: usize) -> (Vec<WorkUnit>, Vec<EditStep>) {
     let steps = vec![
         EditStep {
             label: "impl_only",
-            action: EditAction::Update { unit: "base", term: impl_variant },
+            action: EditAction { unit: "base", term: impl_variant },
             predicted: QueryCounts { typecheck: 1, translate: 1, check: 1, verify: 1 },
             invalidated: vec!["base"],
         },
         EditStep {
             label: "alpha_rename",
-            action: EditAction::Update { unit: "base", term: alpha_variant },
+            action: EditAction { unit: "base", term: alpha_variant },
             predicted: QueryCounts::default(),
             invalidated: Vec::new(),
         },
         EditStep {
             label: "signature",
-            action: EditAction::Update { unit: "base", term: signature_variant },
+            action: EditAction { unit: "base", term: signature_variant },
             predicted: QueryCounts { typecheck: 16, translate: 16, check: 3, verify: 3 },
             invalidated: everyone,
-        },
-        EditStep {
-            label: "verify_flip",
-            action: EditAction::FlipVerifyTypePreservation,
-            predicted: QueryCounts { typecheck: 0, translate: 0, check: 0, verify: 3 },
-            // One representative per α-class, in schedule order: the
-            // scheduler settles `base` first, `mid00` settles the middle
-            // class, `top` is its own class.
-            invalidated: vec!["base", "mid00", "top"],
         },
     ];
     (units, steps)
@@ -412,29 +385,25 @@ mod tests {
     fn edits_family_states_stay_well_typed() {
         let (mut units, steps) = edits(2);
         assert_eq!(units.len(), 16);
-        assert_eq!(steps.len(), 4);
+        assert_eq!(steps.len(), 3);
         check_workload(&units);
         // The α-rename step must really be α-equivalent to the state the
         // impl-only step leaves (same α-invariant fingerprint, different
         // structural encoding) — that is what makes its prediction zero.
-        let term_of = |step: &EditStep| match &step.action {
-            EditAction::Update { term, .. } => term.clone(),
-            EditAction::FlipVerifyTypePreservation => panic!("expected an update step"),
-        };
-        let impl_only = term_of(&steps[0]);
-        let alpha_rename = term_of(&steps[1]);
+        let impl_only = &steps[0].action.term;
+        let alpha_rename = &steps[1].action.term;
         assert_eq!(
-            cccc_source::wire::fingerprint_alpha(&impl_only),
-            cccc_source::wire::fingerprint_alpha(&alpha_rename),
+            cccc_source::wire::fingerprint_alpha(impl_only),
+            cccc_source::wire::fingerprint_alpha(alpha_rename),
         );
         assert_ne!(
-            cccc_source::wire::fingerprint(&impl_only),
-            cccc_source::wire::fingerprint(&alpha_rename),
+            cccc_source::wire::fingerprint(impl_only),
+            cccc_source::wire::fingerprint(alpha_rename),
         );
         // Every cumulative graph state stays well-typed — including the
         // signature edit, whose middles must keep type-checking.
         for step in &steps {
-            let EditAction::Update { unit, term } = &step.action else { continue };
+            let EditAction { unit, term } = &step.action;
             let position = units.iter().position(|u| u.name == *unit).expect("edited unit exists");
             units[position].term = term.clone();
             check_workload(&units);

@@ -4,14 +4,32 @@
 //! its CC type.
 
 use cccc::compiler::verify::check_type_preservation;
-use cccc::source::{self, builder as s, generate::TermGenerator, parse, prelude, Env};
+use cccc::source::{self, builder as s, generate::TermGenerator, parse, prelude, Env, Term};
 use cccc::util::Symbol;
+use cccc::Compiler;
+
+/// Theorem 5.6 on one program, checked by the metatheory oracle
+/// [`check_type_preservation`]; the compiler pipeline must accept the same
+/// program and report the oracle's `A⁺` as its target type, so the oracle
+/// judges the pipeline rather than duplicating it.
+fn assert_preserved(env: &Env, term: &Term, label: &str) {
+    let evidence = check_type_preservation(env, term)
+        .unwrap_or_else(|e| panic!("Theorem 5.6 failed on {label}: {e}\n{term}"));
+    let compilation = Compiler::new()
+        .compile(env, term)
+        .unwrap_or_else(|e| panic!("the pipeline rejected {label}, which the oracle accepts: {e}"));
+    assert!(
+        cccc::target::subst::alpha_eq(&compilation.target_type, &evidence.expected_target_type),
+        "{label}: pipeline target type `{}` is not the oracle's `{}`",
+        compilation.target_type,
+        evidence.expected_target_type
+    );
+}
 
 #[test]
 fn type_preservation_on_the_corpus() {
     for entry in prelude::corpus() {
-        check_type_preservation(&Env::new(), &entry.term)
-            .unwrap_or_else(|e| panic!("Theorem 5.6 failed on `{}`: {e}", entry.name));
+        assert_preserved(&Env::new(), &entry.term, &format!("`{}`", entry.name));
     }
 }
 
@@ -90,8 +108,7 @@ fn type_preservation_on_generated_closed_programs() {
     let mut generator = TermGenerator::new(2024);
     for i in 0..60 {
         let (term, _ty) = generator.gen_program();
-        check_type_preservation(&Env::new(), &term)
-            .unwrap_or_else(|e| panic!("Theorem 5.6 failed on generated program {i}: {e}\n{term}"));
+        assert_preserved(&Env::new(), &term, &format!("generated program {i}"));
     }
 }
 
@@ -100,8 +117,7 @@ fn type_preservation_on_generated_open_components() {
     let mut generator = TermGenerator::new(777);
     for i in 0..25 {
         let (env, term, _gamma) = generator.gen_open_component(4);
-        check_type_preservation(&env, &term)
-            .unwrap_or_else(|e| panic!("Theorem 5.6 failed on open component {i}: {e}\n{term}"));
+        assert_preserved(&env, &term, &format!("open component {i}"));
     }
 }
 
@@ -120,7 +136,9 @@ fn the_environment_translation_is_well_formed() {
 #[test]
 fn preservation_failure_is_detectable() {
     // Sanity-check the checker itself: an ill-typed source program is
-    // reported as a premise failure, not silently accepted.
+    // reported as a premise failure, not silently accepted — and the
+    // pipeline rejects it too.
     let ill_typed = s::app(s::tt(), s::ff());
     assert!(check_type_preservation(&Env::new(), &ill_typed).is_err());
+    assert!(Compiler::new().compile(&Env::new(), &ill_typed).is_err());
 }
