@@ -763,53 +763,16 @@ impl FrontendOutcome {
     }
 }
 
-/// The stable error code for a strict source-checker error — the same table
-/// the tolerant checker uses ([`cccc_source::tolerant`] module docs).
-pub fn source_error_code(error: &src::TypeError) -> &'static str {
-    match error {
-        src::TypeError::UnboundVariable(_) => "E0001",
-        src::TypeError::BoxHasNoType => "E0002",
-        src::TypeError::NotAFunction { .. } => "E0003",
-        src::TypeError::NotAPair { .. } => "E0004",
-        src::TypeError::NotAUniverse { .. } => "E0005",
-        src::TypeError::PairAnnotationNotSigma { .. } => "E0006",
-        src::TypeError::ImpredicativeSigma { .. } => "E0007",
-        src::TypeError::Mismatch { .. } => "E0008",
-        src::TypeError::Reduction(_) => "E0009",
-    }
-}
-
-/// The stable error code for a strict target-checker error — the same table
-/// the tolerant checker uses ([`cccc_target::tolerant`] module docs).
-pub fn target_error_code(error: &tgt::typecheck::TypeError) -> &'static str {
-    use tgt::typecheck::TypeError as T;
-    match error {
-        T::UnboundVariable(_) => "E1001",
-        T::BoxHasNoType => "E1002",
-        T::NotAClosure { .. } => "E1003",
-        T::NotAPair { .. } => "E1004",
-        T::NotAUniverse { .. } => "E1005",
-        T::PairAnnotationNotSigma { .. } => "E1006",
-        T::Mismatch { .. } => "E1008",
-        T::Reduction(_) => "E1009",
-        T::OpenCode { .. } => "E1010",
-        T::NotCode { .. } => "E1011",
-    }
-}
-
 /// Folds a strict-pipeline error into a coded diagnostic. Parse and type
-/// errors reuse the per-variant code tables; the later phases get
-/// phase-level codes (`E0200` translate, `E0300` verify, `E0400` link).
+/// errors carry their own per-variant codes (`TypeError::code`); the later
+/// phases get phase-level codes (`E0200` translate, `E0300` verify,
+/// `E0400` link).
 pub fn diagnostic_of_compile_error(error: &CompileError) -> Diagnostic {
     match error {
         CompileError::Parse(e) => e.to_diagnostic(),
-        CompileError::SourceType(e) => {
-            Diagnostic::error(e.to_string()).with_code(source_error_code(e))
-        }
+        CompileError::SourceType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
         CompileError::Translate(e) => Diagnostic::error(e.to_string()).with_code("E0200"),
-        CompileError::TargetType(e) => {
-            Diagnostic::error(e.to_string()).with_code(target_error_code(e))
-        }
+        CompileError::TargetType(e) => Diagnostic::error(e.to_string()).with_code(e.code()),
         CompileError::Verify(e) => Diagnostic::error(e.to_string()).with_code("E0300"),
         CompileError::Link(e) => Diagnostic::error(e.to_string()).with_code("E0400"),
     }

@@ -16,13 +16,37 @@
 //! rule), and it is sound: it never makes a large Σ small. The restriction
 //! the paper highlights — no impredicative strong Σ — is still enforced:
 //! `Σ x:A.B : ⋆` requires both `A : ⋆` and `B : ⋆`.
+//!
+//! ## One rule set, two sinks
+//!
+//! Each rule is one match arm of the checker's `infer`, run over the state
+//! `{ fuel, engine, sink }`; the entry point picks the sink. **Fail-fast**
+//! ([`infer`], [`check`], [`infer_universe`], [`check_env`],
+//! [`infer_with_engine`]) returns the first report as `Err(`[`TypeError`]`)`.
+//! **Collecting** ([`crate::tolerant::infer_tolerant`]) turns each report
+//! into a [`Diagnostic`] — [`TypeError::code`], the `Display` message, the
+//! [`crate::spans`] span, and for a mismatch the expected/found notes and
+//! the expected type's span — and resumes with the sentinel `<error>`, so
+//! its first diagnostic is the fail-fast error.
+//!
+//! Sentinel handling runs only when collecting: `<error>` types as itself
+//! silently, a poisoned type unifies with anything (one genuine error does
+//! not cascade), and a reported fuel exhaustion refills the tank. Failing
+//! fast, `<error>` is an ordinary unbound name. The recovery values: an
+//! ill-typed `let` binding is held abstract at its annotation and replaced
+//! by `<error>` in the result type; a non-function head, non-pair
+//! projection or non-Σ pair annotation yields `<error>` after its operands
+//! are still inferred; a mismatch is reported once and then accepted.
 
 use crate::ast::{Term, Universe};
 use crate::env::{Decl, Env};
 use crate::equiv::{equiv_with_engine, Engine};
 use crate::pretty::term_to_string;
 use crate::reduce::{whnf, ReduceError};
+use crate::spans;
 use crate::subst::subst;
+use crate::tolerant::{error_symbol, error_term, is_poisoned, TolerantOutcome};
+use cccc_util::diag::Diagnostic;
 use cccc_util::fuel::Fuel;
 use cccc_util::symbol::Symbol;
 use std::fmt;
@@ -60,12 +84,6 @@ pub enum TypeError {
         /// The annotation, pretty-printed.
         annotation: String,
     },
-    /// A Σ type would be impredicative (small Σ over a large domain), which
-    /// is unsound for strong dependent pairs.
-    ImpredicativeSigma {
-        /// The offending Σ type, pretty-printed.
-        sigma: String,
-    },
     /// The inferred type of a term does not match the expected type.
     Mismatch {
         /// What the context required, pretty-printed.
@@ -77,6 +95,35 @@ pub enum TypeError {
     },
     /// Normalization ran out of fuel while deciding equivalence.
     Reduction(ReduceError),
+}
+
+impl TypeError {
+    /// The stable diagnostic code of this error:
+    ///
+    /// | Code | Meaning |
+    /// |---|---|
+    /// | `E0001` | unbound variable |
+    /// | `E0002` | the universe `□` has no type |
+    /// | `E0003` | application of a non-function |
+    /// | `E0004` | projection of a non-pair |
+    /// | `E0005` | term used as a type is not a universe |
+    /// | `E0006` | pair annotation is not a Σ type |
+    /// | `E0008` | type mismatch |
+    /// | `E0009` | normalization ran out of fuel |
+    ///
+    /// `E0100` (parse error) is assigned by [`crate::parse`].
+    pub fn code(&self) -> &'static str {
+        match self {
+            TypeError::UnboundVariable(_) => "E0001",
+            TypeError::BoxHasNoType => "E0002",
+            TypeError::NotAFunction { .. } => "E0003",
+            TypeError::NotAPair { .. } => "E0004",
+            TypeError::NotAUniverse { .. } => "E0005",
+            TypeError::PairAnnotationNotSigma { .. } => "E0006",
+            TypeError::Mismatch { .. } => "E0008",
+            TypeError::Reduction(_) => "E0009",
+        }
+    }
 }
 
 impl fmt::Display for TypeError {
@@ -96,9 +143,6 @@ impl fmt::Display for TypeError {
             TypeError::PairAnnotationNotSigma { annotation } => {
                 write!(f, "pair annotation `{annotation}` is not a Σ type")
             }
-            TypeError::ImpredicativeSigma { sigma } => {
-                write!(f, "impredicative strong Σ type `{sigma}` is not allowed")
-            }
             TypeError::Mismatch { expected, found, term } => {
                 write!(
                     f,
@@ -111,12 +155,6 @@ impl fmt::Display for TypeError {
 }
 
 impl std::error::Error for TypeError {}
-
-impl From<ReduceError> for TypeError {
-    fn from(e: ReduceError) -> TypeError {
-        TypeError::Reduction(e)
-    }
-}
 
 /// Result type for the CC type checker.
 pub type Result<T> = std::result::Result<T, TypeError>;
@@ -139,8 +177,7 @@ pub fn infer(env: &Env, term: &Term) -> Result<Term> {
 ///
 /// Returns a [`TypeError`] when the term is ill-typed.
 pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term> {
-    let mut fuel = Fuel::default();
-    infer_with(env, term, &mut fuel, engine)
+    Checker::fail_fast(engine).infer(env, term)
 }
 
 /// Checks `term` against `expected` under `env`, applying the conversion
@@ -151,8 +188,7 @@ pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term>
 /// Returns a [`TypeError`] when the term is ill-typed or its type is not
 /// definitionally equal to `expected`.
 pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
-    let mut fuel = Fuel::default();
-    check_with(env, term, expected, &mut fuel, Engine::Nbe)
+    Checker::fail_fast(Engine::Nbe).check(env, term, expected).map(drop)
 }
 
 /// Infers the universe in which the type `term` lives.
@@ -161,8 +197,8 @@ pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
 ///
 /// Returns [`TypeError::NotAUniverse`] when `term` is not a type.
 pub fn infer_universe(env: &Env, term: &Term) -> Result<Universe> {
-    let mut fuel = Fuel::default();
-    infer_universe_with(env, term, &mut fuel, Engine::Nbe)
+    let universe = Checker::fail_fast(Engine::Nbe).universe(env, term)?;
+    Ok(universe.expect("a fail-fast check never recovers"))
 }
 
 /// Checks well-formedness of an environment (`⊢ Γ`, Figure 4).
@@ -194,164 +230,248 @@ pub fn is_well_typed(env: &Env, term: &Term) -> bool {
     infer(env, term).is_ok()
 }
 
-/// Weak-head normalizes through the chosen engine: NbE read-back or the
-/// step-based `whnf`.
-fn head_normal(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    let result = match engine {
-        Engine::Nbe => crate::nbe::whnf_nbe(env, term, fuel),
-        Engine::Step => whnf(env, term, fuel),
-    };
-    result.map_err(TypeError::from)
+/// Infers the type of `term` under `env` with the collecting sink.
+pub(crate) fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> TolerantOutcome {
+    let mut checker = Checker { fuel: Fuel::default(), engine, sink: Some(Vec::new()) };
+    let ty = checker.infer(env, term).expect("a collecting check never aborts");
+    TolerantOutcome { ty, diagnostics: checker.sink.unwrap_or_default() }
 }
 
-pub(crate) fn infer_with(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    match term {
-        // [Var]
-        Term::Var(x) => match env.lookup_type(*x) {
-            Some(ty) => Ok((**ty).clone()),
-            None => Err(TypeError::UnboundVariable(*x)),
-        },
-        // [Ax-*]
-        Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
-        Term::Sort(Universe::Box) => Err(TypeError::BoxHasNoType),
-        // Ground types (§5.2).
-        Term::BoolTy => Ok(Term::Sort(Universe::Star)),
-        Term::BoolLit(_) => Ok(Term::BoolTy),
-        Term::If { scrutinee, then_branch, else_branch } => {
-            check_with(env, scrutinee, &Term::BoolTy, fuel, engine)?;
-            let then_ty = infer_with(env, then_branch, fuel, engine)?;
-            check_with(env, else_branch, &then_ty, fuel, engine)?;
-            Ok(then_ty)
+/// The checker state. The rules below are the only typing rules of CC.
+struct Checker {
+    fuel: Fuel,
+    engine: Engine,
+    /// The error sink: `None` fails fast (the first report is the error),
+    /// `Some` collects every report as a diagnostic and keeps going.
+    sink: Option<Vec<Diagnostic>>,
+}
+
+impl Checker {
+    fn fail_fast(engine: Engine) -> Checker {
+        Checker { fuel: Fuel::default(), engine, sink: None }
+    }
+
+    /// True when `term` mentions the sentinel and this checker recovers
+    /// from it; always false when failing fast.
+    fn poisoned(&self, term: &Term) -> bool {
+        self.sink.is_some() && is_poisoned(term)
+    }
+
+    /// Sends `error`, found at `at`, to the sink; `expected_ty` is the type
+    /// a mismatched term was checked against. A collecting run recovers
+    /// with the sentinel type.
+    fn report(&mut self, error: TypeError, at: &Term, expected_ty: Option<&Term>) -> Result<Term> {
+        let Some(diagnostics) = &mut self.sink else { return Err(error) };
+        if let TypeError::Reduction(_) = error {
+            // Refill, so one diverging type does not starve the rest.
+            self.fuel = Fuel::default();
         }
-        // [Prod-*] and [Prod-□]
-        Term::Pi { binder, domain, codomain } => {
-            infer_universe_with(env, domain, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**domain).clone());
-            let codomain_universe = infer_universe_with(&inner, codomain, fuel, engine)?;
-            Ok(Term::Sort(codomain_universe))
+        let mut diagnostic = Diagnostic::error(error.to_string()).with_code(error.code());
+        diagnostic.span = spans::span_of(at);
+        if let TypeError::Mismatch { expected, found, .. } = &error {
+            diagnostic = diagnostic
+                .with_note(format!("expected `{expected}`"))
+                .with_note(format!("found    `{found}`"));
         }
-        // [Sig-*], [Sig-□], and the predicative large rule (see module docs).
-        Term::Sigma { binder, first, second } => {
-            let first_universe = infer_universe_with(env, first, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**first).clone());
-            let second_universe = infer_universe_with(&inner, second, fuel, engine)?;
-            match (first_universe, second_universe) {
-                (Universe::Star, Universe::Star) => Ok(Term::Sort(Universe::Star)),
-                (_, Universe::Box) => Ok(Term::Sort(Universe::Box)),
-                (Universe::Box, Universe::Star) => Ok(Term::Sort(Universe::Box)),
+        if let Some(origin) = expected_ty.and_then(spans::span_of) {
+            diagnostic = diagnostic.with_related(origin, "expected type came from this annotation");
+        }
+        diagnostics.push(diagnostic);
+        Ok(error_term())
+    }
+
+    /// The head normal form of the type `ty` of `at`, or `None` when the
+    /// collecting sink has already recovered (`ty` or its normal form is
+    /// poisoned).
+    fn head_normal(&mut self, env: &Env, ty: &Term, at: &Term) -> Result<Option<Term>> {
+        if self.poisoned(ty) {
+            return Ok(None);
+        }
+        let normal = match self.engine {
+            Engine::Nbe => crate::nbe::whnf_nbe(env, ty, &mut self.fuel),
+            Engine::Step => whnf(env, ty, &mut self.fuel),
+        };
+        match normal {
+            Ok(normal) if !self.poisoned(&normal) => Ok(Some(normal)),
+            Ok(_) => Ok(None),
+            Err(error) => self.report(TypeError::Reduction(error), at, None).map(|_| None),
+        }
+    }
+
+    fn infer(&mut self, env: &Env, term: &Term) -> Result<Term> {
+        match term {
+            // The sentinel types as itself, silently: whoever introduced it
+            // already reported.
+            Term::Var(x) if self.sink.is_some() && *x == error_symbol() => Ok(error_term()),
+            // [Var]
+            Term::Var(x) => match env.lookup_type(*x) {
+                Some(ty) => Ok((**ty).clone()),
+                None => self.report(TypeError::UnboundVariable(*x), term, None),
+            },
+            // [Ax-*]
+            Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
+            Term::Sort(Universe::Box) => self.report(TypeError::BoxHasNoType, term, None),
+            // Ground types (§5.2).
+            Term::BoolTy => Ok(Term::Sort(Universe::Star)),
+            Term::BoolLit(_) => Ok(Term::BoolTy),
+            Term::If { scrutinee, then_branch, else_branch } => {
+                self.check(env, scrutinee, &Term::BoolTy)?;
+                let then_ty = self.infer(env, then_branch)?;
+                self.check(env, else_branch, &then_ty)?;
+                Ok(then_ty)
+            }
+            // [Prod-*] and [Prod-□]
+            Term::Pi { binder, domain, codomain } => {
+                self.universe(env, domain)?;
+                let inner = env.with_assumption(*binder, (**domain).clone());
+                Ok(self.universe(&inner, codomain)?.map_or_else(error_term, Term::Sort))
+            }
+            // [Sig-*], [Sig-□], and the predicative large rule (see module
+            // docs): small only when both components are small.
+            Term::Sigma { binder, first, second } => {
+                let first_universe = self.universe(env, first)?;
+                let inner = env.with_assumption(*binder, (**first).clone());
+                let second_universe = self.universe(&inner, second)?;
+                Ok(match (first_universe, second_universe) {
+                    (Some(Universe::Star), Some(Universe::Star)) => Term::Sort(Universe::Star),
+                    (Some(_), Some(_)) => Term::Sort(Universe::Box),
+                    _ => error_term(),
+                })
+            }
+            // [Lam]
+            Term::Lam { binder, domain, body } => {
+                self.universe(env, domain)?;
+                let inner = env.with_assumption(*binder, (**domain).clone());
+                let body_ty = self.infer(&inner, body)?;
+                // Ensure the resulting Π type is itself well-formed.
+                if !self.poisoned(&body_ty) {
+                    self.universe(&inner, &body_ty)?;
+                }
+                Ok(Term::Pi { binder: *binder, domain: domain.clone(), codomain: body_ty.rc() })
+            }
+            // [App]
+            Term::App { func, arg } => {
+                let func_ty = self.infer(env, func)?;
+                match self.head_normal(env, &func_ty, func)? {
+                    Some(Term::Pi { binder, domain, codomain }) => {
+                        self.check(env, arg, &domain)?;
+                        return Ok(subst(&codomain, binder, arg));
+                    }
+                    Some(other) => {
+                        let error = TypeError::NotAFunction {
+                            term: term_to_string(func),
+                            ty: term_to_string(&other),
+                        };
+                        self.report(error, func, None)?;
+                    }
+                    None => {}
+                }
+                self.infer(env, arg)?;
+                Ok(error_term())
+            }
+            // [Let]
+            Term::Let { binder, annotation, bound, body } => {
+                let annotation_ok = self.universe(env, annotation)?.is_some();
+                let bound_ok = annotation_ok && self.check(env, bound, annotation)?;
+                if bound_ok && !self.poisoned(bound) && !self.poisoned(annotation) {
+                    let inner =
+                        env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, bound))
+                } else {
+                    // Poison the binding: hold the binder abstract at its
+                    // declared annotation, never unfolding a bad definition.
+                    let assumed = if annotation_ok { (**annotation).clone() } else { error_term() };
+                    let inner = env.with_assumption(*binder, assumed);
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, &error_term()))
+                }
+            }
+            // [Pair]
+            Term::Pair { first, second, annotation } => {
+                self.universe(env, annotation)?;
+                match self.head_normal(env, annotation, annotation)? {
+                    Some(Term::Sigma { binder, first: first_ty, second: second_ty }) => {
+                        self.check(env, first, &first_ty)?;
+                        let expected_second = subst(&second_ty, binder, first);
+                        self.check(env, second, &expected_second)?;
+                        return Ok((**annotation).clone());
+                    }
+                    Some(_) => {
+                        let error = TypeError::PairAnnotationNotSigma {
+                            annotation: term_to_string(annotation),
+                        };
+                        self.report(error, annotation, None)?;
+                    }
+                    None => {}
+                }
+                self.infer(env, first)?;
+                self.infer(env, second)?;
+                Ok(error_term())
+            }
+            // [Fst] and [Snd]
+            Term::Fst(e) | Term::Snd(e) => {
+                let e_ty = self.infer(env, e)?;
+                match self.head_normal(env, &e_ty, e)? {
+                    Some(Term::Sigma { first, .. }) if matches!(term, Term::Fst(_)) => {
+                        Ok((*first).clone())
+                    }
+                    Some(Term::Sigma { binder, second, .. }) => {
+                        Ok(subst(&second, binder, &Term::Fst(e.clone())))
+                    }
+                    Some(other) => {
+                        let error = TypeError::NotAPair {
+                            term: term_to_string(e),
+                            ty: term_to_string(&other),
+                        };
+                        self.report(error, e, None)
+                    }
+                    None => Ok(error_term()),
+                }
             }
         }
-        // [Lam]
-        Term::Lam { binder, domain, body } => {
-            infer_universe_with(env, domain, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**domain).clone());
-            let body_ty = infer_with(&inner, body, fuel, engine)?;
-            // Ensure the resulting Π type is itself well-formed.
-            infer_universe_with(&inner, &body_ty, fuel, engine)?;
-            Ok(Term::Pi { binder: *binder, domain: domain.clone(), codomain: body_ty.rc() })
+    }
+
+    /// `[Conv]`: checks `term` against `expected`. Returns `false` only
+    /// after a collected mismatch, which is then accepted.
+    fn check(&mut self, env: &Env, term: &Term, expected: &Term) -> Result<bool> {
+        let found = self.infer(env, term)?;
+        if self.poisoned(&found) || self.poisoned(expected) {
+            return Ok(true);
         }
-        // [App]
-        Term::App { func, arg } => {
-            let func_ty = infer_with(env, func, fuel, engine)?;
-            let func_ty_whnf = head_normal(env, &func_ty, fuel, engine)?;
-            match func_ty_whnf {
-                Term::Pi { binder, domain, codomain } => {
-                    check_with(env, arg, &domain, fuel, engine)?;
-                    Ok(subst(&codomain, binder, arg))
-                }
-                other => Err(TypeError::NotAFunction {
-                    term: term_to_string(func),
+        match equiv_with_engine(env, &found, expected, &mut self.fuel, self.engine) {
+            Ok(true) => Ok(true),
+            Ok(false) => {
+                let error = TypeError::Mismatch {
+                    expected: term_to_string(expected),
+                    found: term_to_string(&found),
+                    term: term_to_string(term),
+                };
+                self.report(error, term, Some(expected)).map(|_| false)
+            }
+            Err(error) => self.report(TypeError::Reduction(error), term, None).map(|_| true),
+        }
+    }
+
+    /// The universe the type `term` lives in, or `None` after recovery.
+    fn universe(&mut self, env: &Env, term: &Term) -> Result<Option<Universe>> {
+        // `□` itself is a valid classifier (it is the type of `⋆` and of
+        // kinds) even though it is not a term; treat it as living "above"
+        // everything.
+        if matches!(term, Term::Sort(Universe::Box)) {
+            return Ok(Some(Universe::Box));
+        }
+        let ty = self.infer(env, term)?;
+        match self.head_normal(env, &ty, term)? {
+            Some(Term::Sort(u)) => Ok(Some(u)),
+            Some(other) => {
+                let error = TypeError::NotAUniverse {
+                    term: term_to_string(term),
                     ty: term_to_string(&other),
-                }),
+                };
+                self.report(error, term, None).map(|_| None)
             }
-        }
-        // [Let]
-        Term::Let { binder, annotation, bound, body } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            check_with(env, bound, annotation, fuel, engine)?;
-            let inner = env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
-            let body_ty = infer_with(&inner, body, fuel, engine)?;
-            Ok(subst(&body_ty, *binder, bound))
-        }
-        // [Pair]
-        Term::Pair { first, second, annotation } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            let annotation_whnf = head_normal(env, annotation, fuel, engine)?;
-            match annotation_whnf {
-                Term::Sigma { binder, first: first_ty, second: second_ty } => {
-                    check_with(env, first, &first_ty, fuel, engine)?;
-                    let expected_second = subst(&second_ty, binder, first);
-                    check_with(env, second, &expected_second, fuel, engine)?;
-                    Ok((**annotation).clone())
-                }
-                _ => Err(TypeError::PairAnnotationNotSigma {
-                    annotation: term_to_string(annotation),
-                }),
-            }
-        }
-        // [Fst]
-        Term::Fst(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { first, .. } => Ok((*first).clone()),
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
-                }
-            }
-        }
-        // [Snd]
-        Term::Snd(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { binder, second, .. } => {
-                    Ok(subst(&second, binder, &Term::Fst(e.clone())))
-                }
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn check_with(
-    env: &Env,
-    term: &Term,
-    expected: &Term,
-    fuel: &mut Fuel,
-    engine: Engine,
-) -> Result<()> {
-    let inferred = infer_with(env, term, fuel, engine)?;
-    if equiv_with_engine(env, &inferred, expected, fuel, engine)? {
-        Ok(())
-    } else {
-        Err(TypeError::Mismatch {
-            expected: term_to_string(expected),
-            found: term_to_string(&inferred),
-            term: term_to_string(term),
-        })
-    }
-}
-
-pub(crate) fn infer_universe_with(
-    env: &Env,
-    term: &Term,
-    fuel: &mut Fuel,
-    engine: Engine,
-) -> Result<Universe> {
-    // `□` itself is a valid classifier (it is the type of `⋆` and of kinds)
-    // even though it is not a term; treat it as living "above" everything.
-    if matches!(term, Term::Sort(Universe::Box)) {
-        return Ok(Universe::Box);
-    }
-    let ty = infer_with(env, term, fuel, engine)?;
-    let ty_whnf = head_normal(env, &ty, fuel, engine)?;
-    match ty_whnf {
-        Term::Sort(u) => Ok(u),
-        other => {
-            Err(TypeError::NotAUniverse { term: term_to_string(term), ty: term_to_string(&other) })
+            None => Ok(None),
         }
     }
 }
@@ -572,6 +692,24 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("true"));
         assert!(msg.contains("Bool"));
+    }
+
+    #[test]
+    fn fail_fast_treats_the_sentinel_as_an_unbound_name() {
+        use crate::tolerant::{error_symbol, error_term};
+        let t = ite(error_term(), tt(), ff());
+        assert_eq!(infer_closed(&t), Err(TypeError::UnboundVariable(error_symbol())));
+    }
+
+    #[test]
+    fn fail_fast_poisoned_types_unify_with_nothing() {
+        use crate::tolerant::error_term;
+        let env = Env::new().with_assumption(Symbol::intern("f"), error_term());
+        assert!(matches!(infer(&env, &app(var("f"), tt())), Err(TypeError::NotAFunction { .. })));
+        assert!(matches!(
+            check(&Env::new(), &tt(), &error_term()),
+            Err(TypeError::Mismatch { .. })
+        ));
     }
 
     #[test]

@@ -22,6 +22,19 @@
 //! predicative ECC rule `A : □, B : ⋆ ⟹ Σ x:A.B : □`, which the
 //! environment telescopes of closure conversion need when a closure
 //! captures a type variable.
+//!
+//! ## One rule set, two sinks
+//!
+//! As in `cccc_source::typecheck`, each rule is one match arm over the
+//! state `{ fuel, engine, sink }`, and the entry point picks the sink:
+//! fail-fast ([`infer`], [`check`], [`infer_universe`], [`check_env`],
+//! [`infer_with_engine`]) or collecting ([`crate::tolerant::infer_tolerant`],
+//! whose [`Diagnostic`]s carry [`TypeError::code`] but no spans: CC-CC terms
+//! are translated, never parsed). Sentinel handling — including leaving
+//! `<error>` out of the closedness premise of `[Code]` — runs only when
+//! collecting. The `[Code]`/`[T-Code]` memo is read and written only when
+//! failing fast, so recovery results never reach a cache that a strict
+//! check could observe.
 
 use crate::ast::{RcTerm, Term, Universe};
 use crate::env::{Decl, Env};
@@ -29,6 +42,8 @@ use crate::equiv::{equiv_with_engine, Engine};
 use crate::pretty::term_to_string;
 use crate::reduce::{whnf, ReduceError};
 use crate::subst::{free_vars, is_closed, occurs_free, rename, subst};
+use crate::tolerant::{error_symbol, error_term, is_poisoned, TolerantOutcome};
+use cccc_util::diag::Diagnostic;
 use cccc_util::fuel::Fuel;
 use cccc_util::intern::{FxHashMap, NodeId};
 use cccc_util::symbol::Symbol;
@@ -97,6 +112,37 @@ pub enum TypeError {
     Reduction(ReduceError),
 }
 
+impl TypeError {
+    /// The stable diagnostic code of this error:
+    ///
+    /// | Code | Meaning |
+    /// |---|---|
+    /// | `E1001` | unbound variable |
+    /// | `E1002` | the universe `□` has no type |
+    /// | `E1003` | application of a non-closure (including bare code) |
+    /// | `E1004` | projection of a non-pair |
+    /// | `E1005` | term used as a type is not a universe |
+    /// | `E1006` | pair annotation is not a Σ type |
+    /// | `E1008` | type mismatch |
+    /// | `E1009` | normalization ran out of fuel |
+    /// | `E1010` | open code (rule `[Code]` requires closed code) |
+    /// | `E1011` | closure component is not code |
+    pub fn code(&self) -> &'static str {
+        match self {
+            TypeError::UnboundVariable(_) => "E1001",
+            TypeError::BoxHasNoType => "E1002",
+            TypeError::NotAClosure { .. } => "E1003",
+            TypeError::NotAPair { .. } => "E1004",
+            TypeError::NotAUniverse { .. } => "E1005",
+            TypeError::PairAnnotationNotSigma { .. } => "E1006",
+            TypeError::Mismatch { .. } => "E1008",
+            TypeError::Reduction(_) => "E1009",
+            TypeError::OpenCode { .. } => "E1010",
+            TypeError::NotCode { .. } => "E1011",
+        }
+    }
+}
+
 impl fmt::Display for TypeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -131,12 +177,6 @@ impl fmt::Display for TypeError {
 
 impl std::error::Error for TypeError {}
 
-impl From<ReduceError> for TypeError {
-    fn from(e: ReduceError) -> TypeError {
-        TypeError::Reduction(e)
-    }
-}
-
 /// Result type for the CC-CC type checker.
 pub type Result<T> = std::result::Result<T, TypeError>;
 
@@ -158,8 +198,7 @@ pub fn infer(env: &Env, term: &Term) -> Result<Term> {
 ///
 /// Returns a [`TypeError`] when the term is ill-typed.
 pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term> {
-    let mut fuel = Fuel::default();
-    infer_with(env, term, &mut fuel, engine)
+    Checker::fail_fast(engine).infer(env, term)
 }
 
 /// Checks `term` against `expected` under `env`, applying the conversion
@@ -170,8 +209,7 @@ pub fn infer_with_engine(env: &Env, term: &Term, engine: Engine) -> Result<Term>
 /// Returns a [`TypeError`] when the term is ill-typed or its type is not
 /// definitionally equal to `expected`.
 pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
-    let mut fuel = Fuel::default();
-    check_with(env, term, expected, &mut fuel, Engine::Nbe)
+    Checker::fail_fast(Engine::Nbe).check(env, term, expected).map(drop)
 }
 
 /// Infers the universe in which the type `term` lives.
@@ -180,8 +218,8 @@ pub fn check(env: &Env, term: &Term, expected: &Term) -> Result<()> {
 ///
 /// Returns [`TypeError::NotAUniverse`] when `term` is not a type.
 pub fn infer_universe(env: &Env, term: &Term) -> Result<Universe> {
-    let mut fuel = Fuel::default();
-    infer_universe_with(env, term, &mut fuel, Engine::Nbe)
+    let universe = Checker::fail_fast(Engine::Nbe).universe(env, term)?;
+    Ok(universe.expect("a fail-fast check never recovers"))
 }
 
 /// Checks well-formedness of an environment (`⊢ Γ`).
@@ -213,6 +251,13 @@ pub fn is_well_typed(env: &Env, term: &Term) -> bool {
     infer(env, term).is_ok()
 }
 
+/// Infers the type of `term` under `env` with the collecting sink.
+pub(crate) fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> TolerantOutcome {
+    let mut checker = Checker { fuel: Fuel::default(), engine, sink: Some(Vec::new()) };
+    let ty = checker.infer(env, term).expect("a collecting check never aborts");
+    TolerantOutcome { ty, diagnostics: checker.sink.unwrap_or_default() }
+}
+
 /// The code-typing memo never outgrows this many entries; it is cleared
 /// wholesale when it would.
 const CODE_MEMO_CAP: usize = 1 << 18;
@@ -237,265 +282,335 @@ pub fn reset_code_memo() {
     CODE_MEMO.with(|m| m.borrow_mut().clear());
 }
 
-fn code_memo_get(id: NodeId, engine: Engine) -> Option<RcTerm> {
-    CODE_MEMO.with(|m| m.borrow().get(&(id, engine)).cloned())
-}
-
-fn code_memo_insert(id: NodeId, engine: Engine, ty: RcTerm) {
-    CODE_MEMO.with(|m| {
-        let mut memo = m.borrow_mut();
-        if memo.len() >= CODE_MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert((id, engine), ty);
-    });
-}
-
-/// Weak-head normalizes through the chosen engine: NbE read-back or the
-/// step-based `whnf`.
-fn head_normal(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    let result = match engine {
-        Engine::Nbe => crate::nbe::whnf_nbe(env, term, fuel),
-        Engine::Step => whnf(env, term, fuel),
-    };
-    result.map_err(TypeError::from)
-}
-
-fn infer_with(env: &Env, term: &Term, fuel: &mut Fuel, engine: Engine) -> Result<Term> {
-    match term {
-        // [Var]
-        Term::Var(x) => match env.lookup_type(*x) {
-            Some(ty) => Ok((**ty).clone()),
-            None => Err(TypeError::UnboundVariable(*x)),
-        },
-        // [Ax-*]
-        Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
-        Term::Sort(Universe::Box) => Err(TypeError::BoxHasNoType),
-        // [Unit] / [UnitVal]
-        Term::Unit => Ok(Term::Sort(Universe::Star)),
-        Term::UnitVal => Ok(Term::Unit),
-        // Ground types (§5.2).
-        Term::BoolTy => Ok(Term::Sort(Universe::Star)),
-        Term::BoolLit(_) => Ok(Term::BoolTy),
-        Term::If { scrutinee, then_branch, else_branch } => {
-            check_with(env, scrutinee, &Term::BoolTy, fuel, engine)?;
-            let then_ty = infer_with(env, then_branch, fuel, engine)?;
-            check_with(env, else_branch, &then_ty, fuel, engine)?;
-            Ok(then_ty)
-        }
-        // [Prod-*] / [Prod-□]: Π is the type of closures.
-        Term::Pi { binder, domain, codomain } => {
-            infer_universe_with(env, domain, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**domain).clone());
-            let codomain_universe = infer_universe_with(&inner, codomain, fuel, engine)?;
-            Ok(Term::Sort(codomain_universe))
-        }
-        // [Sig-*], [Sig-□], and the predicative large rule.
-        Term::Sigma { binder, first, second } => {
-            let first_universe = infer_universe_with(env, first, fuel, engine)?;
-            let inner = env.with_assumption(*binder, (**first).clone());
-            let second_universe = infer_universe_with(&inner, second, fuel, engine)?;
-            match (first_universe, second_universe) {
-                (Universe::Star, Universe::Star) => Ok(Term::Sort(Universe::Star)),
-                (_, Universe::Box) => Ok(Term::Sort(Universe::Box)),
-                (Universe::Box, Universe::Star) => Ok(Term::Sort(Universe::Box)),
-            }
-        }
-        // [Code]: the empty environment replaces Γ. The judgment depends
-        // on the code alone (Γ is discarded), so the result is memoized by
-        // node identity — each distinct code block is checked once.
-        Term::Code { env_binder, env_ty, arg_binder, arg_ty, body } => {
-            let node = term.clone().rc();
-            if let Some(ty) = code_memo_get(node.id(), engine) {
-                return Ok((*ty).clone());
-            }
-            require_closed(term)?;
-            let empty = Env::new();
-            infer_universe_with(&empty, env_ty, fuel, engine)?;
-            let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
-            infer_universe_with(&with_env, arg_ty, fuel, engine)?;
-            let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
-            let body_ty = infer_with(&with_arg, body, fuel, engine)?;
-            // The resulting code type must itself be well-formed.
-            infer_universe_with(&with_arg, &body_ty, fuel, engine)?;
-            let code_ty = Term::CodeTy {
-                env_binder: *env_binder,
-                env_ty: env_ty.clone(),
-                arg_binder: *arg_binder,
-                arg_ty: arg_ty.clone(),
-                result: body_ty.rc(),
-            }
-            .rc();
-            code_memo_insert(node.id(), engine, code_ty.clone());
-            Ok((*code_ty).clone())
-        }
-        // [T-Code]: code types are checked in the empty environment too,
-        // and memoized the same way.
-        Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-            let node = term.clone().rc();
-            if let Some(ty) = code_memo_get(node.id(), engine) {
-                return Ok((*ty).clone());
-            }
-            require_closed(term)?;
-            let empty = Env::new();
-            infer_universe_with(&empty, env_ty, fuel, engine)?;
-            let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
-            infer_universe_with(&with_env, arg_ty, fuel, engine)?;
-            let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
-            let result_universe = infer_universe_with(&with_arg, result, fuel, engine)?;
-            let sort = Term::Sort(result_universe).rc();
-            code_memo_insert(node.id(), engine, sort.clone());
-            Ok((*sort).clone())
-        }
-        // [Clo]: substitute the environment into the code type.
-        Term::Closure { code, env: closure_env } => {
-            let code_ty = infer_with(env, code, fuel, engine)?;
-            let code_ty_whnf = head_normal(env, &code_ty, fuel, engine)?;
-            match code_ty_whnf {
-                Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result } => {
-                    check_with(env, closure_env, &env_ty, fuel, engine)?;
-                    // Π x : A[e'/n]. B[e'/n]. In the argument type the
-                    // environment binder is never shadowed, but in the
-                    // result the argument binder may shadow it (x = n), in
-                    // which case every occurrence refers to x and the
-                    // substitution does not reach B; otherwise freshen x
-                    // when the environment mentions it.
-                    let domain = subst(&arg_ty, env_binder, closure_env);
-                    let (binder, codomain) = if arg_binder == env_binder {
-                        (arg_binder, (*result).clone())
-                    } else if occurs_free(arg_binder, closure_env) {
-                        let fresh = arg_binder.freshen();
-                        let renamed = rename(&result, arg_binder, fresh);
-                        (fresh, subst(&renamed, env_binder, closure_env))
-                    } else {
-                        (arg_binder, subst(&result, env_binder, closure_env))
-                    };
-                    Ok(Term::Pi { binder, domain: domain.rc(), codomain: codomain.rc() })
-                }
-                other => Err(TypeError::NotCode {
-                    term: term_to_string(code),
-                    ty: term_to_string(&other),
-                }),
-            }
-        }
-        // [App]: eliminates closures (Π), never code.
-        Term::App { func, arg } => {
-            let func_ty = infer_with(env, func, fuel, engine)?;
-            let func_ty_whnf = head_normal(env, &func_ty, fuel, engine)?;
-            match func_ty_whnf {
-                Term::Pi { binder, domain, codomain } => {
-                    check_with(env, arg, &domain, fuel, engine)?;
-                    Ok(subst(&codomain, binder, arg))
-                }
-                other => Err(TypeError::NotAClosure {
-                    term: term_to_string(func),
-                    ty: term_to_string(&other),
-                }),
-            }
-        }
-        // [Let]
-        Term::Let { binder, annotation, bound, body } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            check_with(env, bound, annotation, fuel, engine)?;
-            let inner = env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
-            let body_ty = infer_with(&inner, body, fuel, engine)?;
-            Ok(subst(&body_ty, *binder, bound))
-        }
-        // [Pair]
-        Term::Pair { first, second, annotation } => {
-            infer_universe_with(env, annotation, fuel, engine)?;
-            let annotation_whnf = head_normal(env, annotation, fuel, engine)?;
-            match annotation_whnf {
-                Term::Sigma { binder, first: first_ty, second: second_ty } => {
-                    check_with(env, first, &first_ty, fuel, engine)?;
-                    let expected_second = subst(&second_ty, binder, first);
-                    check_with(env, second, &expected_second, fuel, engine)?;
-                    Ok((**annotation).clone())
-                }
-                _ => Err(TypeError::PairAnnotationNotSigma {
-                    annotation: term_to_string(annotation),
-                }),
-            }
-        }
-        // [Fst]
-        Term::Fst(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { first, .. } => Ok((*first).clone()),
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
-                }
-            }
-        }
-        // [Snd]
-        Term::Snd(e) => {
-            let e_ty = infer_with(env, e, fuel, engine)?;
-            let e_ty_whnf = head_normal(env, &e_ty, fuel, engine)?;
-            match e_ty_whnf {
-                Term::Sigma { binder, second, .. } => {
-                    Ok(subst(&second, binder, &Term::Fst(e.clone())))
-                }
-                other => {
-                    Err(TypeError::NotAPair { term: term_to_string(e), ty: term_to_string(&other) })
-                }
-            }
-        }
-    }
-}
-
-/// The syntactic closedness premise of `[Code]`/`[T-Code]`.
-///
-/// The success path — every well-typed program — is O(1): closedness is a
-/// cached metadata bit on the children's interned nodes. Only the error
-/// path materializes the ordered free-variable list for the diagnostic.
-fn require_closed(term: &Term) -> Result<()> {
-    if is_closed(term) {
-        Ok(())
-    } else {
-        let free = free_vars(term);
-        Err(TypeError::OpenCode {
-            code: term_to_string(term),
-            free: free.iter().map(|s| format!("`{s}`")).collect::<Vec<_>>().join(", "),
-        })
-    }
-}
-
-fn check_with(
-    env: &Env,
-    term: &Term,
-    expected: &Term,
-    fuel: &mut Fuel,
+/// The checker state. The rules below are the only typing rules of CC-CC.
+struct Checker {
+    fuel: Fuel,
     engine: Engine,
-) -> Result<()> {
-    let inferred = infer_with(env, term, fuel, engine)?;
-    if equiv_with_engine(env, &inferred, expected, fuel, engine)? {
-        Ok(())
-    } else {
-        Err(TypeError::Mismatch {
-            expected: term_to_string(expected),
-            found: term_to_string(&inferred),
-            term: term_to_string(term),
-        })
-    }
+    /// The error sink: `None` fails fast (the first report is the error),
+    /// `Some` collects every report as a diagnostic and keeps going.
+    sink: Option<Vec<Diagnostic>>,
 }
 
-fn infer_universe_with(
-    env: &Env,
-    term: &Term,
-    fuel: &mut Fuel,
-    engine: Engine,
-) -> Result<Universe> {
-    // `□` itself is a valid classifier even though it is not a term.
-    if matches!(term, Term::Sort(Universe::Box)) {
-        return Ok(Universe::Box);
+impl Checker {
+    fn fail_fast(engine: Engine) -> Checker {
+        Checker { fuel: Fuel::default(), engine, sink: None }
     }
-    let ty = infer_with(env, term, fuel, engine)?;
-    let ty_whnf = head_normal(env, &ty, fuel, engine)?;
-    match ty_whnf {
-        Term::Sort(u) => Ok(u),
-        other => {
-            Err(TypeError::NotAUniverse { term: term_to_string(term), ty: term_to_string(&other) })
+
+    /// True when `term` mentions the sentinel and this checker recovers
+    /// from it; always false when failing fast.
+    fn poisoned(&self, term: &Term) -> bool {
+        self.sink.is_some() && is_poisoned(term)
+    }
+
+    /// Sends `error` to the sink. A collecting run recovers with the
+    /// sentinel type.
+    fn report(&mut self, error: TypeError) -> Result<Term> {
+        let Some(diagnostics) = &mut self.sink else { return Err(error) };
+        if let TypeError::Reduction(_) = error {
+            // Refill, so one diverging type does not starve the rest.
+            self.fuel = Fuel::default();
+        }
+        let mut diagnostic = Diagnostic::error(error.to_string()).with_code(error.code());
+        if let TypeError::Mismatch { expected, found, .. } = &error {
+            diagnostic = diagnostic
+                .with_note(format!("expected `{expected}`"))
+                .with_note(format!("found    `{found}`"));
+        }
+        diagnostics.push(diagnostic);
+        Ok(error_term())
+    }
+
+    /// The head normal form of the type `ty`, or `None` when the
+    /// collecting sink has already recovered (`ty` or its normal form is
+    /// poisoned).
+    fn head_normal(&mut self, env: &Env, ty: &Term) -> Result<Option<Term>> {
+        if self.poisoned(ty) {
+            return Ok(None);
+        }
+        let normal = match self.engine {
+            Engine::Nbe => crate::nbe::whnf_nbe(env, ty, &mut self.fuel),
+            Engine::Step => whnf(env, ty, &mut self.fuel),
+        };
+        match normal {
+            Ok(normal) if !self.poisoned(&normal) => Ok(Some(normal)),
+            Ok(_) => Ok(None),
+            Err(error) => self.report(TypeError::Reduction(error)).map(|_| None),
+        }
+    }
+
+    fn infer(&mut self, env: &Env, term: &Term) -> Result<Term> {
+        match term {
+            // The sentinel types as itself, silently: whoever introduced it
+            // already reported.
+            Term::Var(x) if self.sink.is_some() && *x == error_symbol() => Ok(error_term()),
+            // [Var]
+            Term::Var(x) => match env.lookup_type(*x) {
+                Some(ty) => Ok((**ty).clone()),
+                None => self.report(TypeError::UnboundVariable(*x)),
+            },
+            // [Ax-*]
+            Term::Sort(Universe::Star) => Ok(Term::Sort(Universe::Box)),
+            Term::Sort(Universe::Box) => self.report(TypeError::BoxHasNoType),
+            // [Unit] / [UnitVal]
+            Term::Unit => Ok(Term::Sort(Universe::Star)),
+            Term::UnitVal => Ok(Term::Unit),
+            // Ground types (§5.2).
+            Term::BoolTy => Ok(Term::Sort(Universe::Star)),
+            Term::BoolLit(_) => Ok(Term::BoolTy),
+            Term::If { scrutinee, then_branch, else_branch } => {
+                self.check(env, scrutinee, &Term::BoolTy)?;
+                let then_ty = self.infer(env, then_branch)?;
+                self.check(env, else_branch, &then_ty)?;
+                Ok(then_ty)
+            }
+            // [Prod-*] / [Prod-□]: Π is the type of closures.
+            Term::Pi { binder, domain, codomain } => {
+                self.universe(env, domain)?;
+                let inner = env.with_assumption(*binder, (**domain).clone());
+                Ok(self.universe(&inner, codomain)?.map_or_else(error_term, Term::Sort))
+            }
+            // [Sig-*], [Sig-□], and the predicative large rule: small only
+            // when both components are small.
+            Term::Sigma { binder, first, second } => {
+                let first_universe = self.universe(env, first)?;
+                let inner = env.with_assumption(*binder, (**first).clone());
+                let second_universe = self.universe(&inner, second)?;
+                Ok(match (first_universe, second_universe) {
+                    (Some(Universe::Star), Some(Universe::Star)) => Term::Sort(Universe::Star),
+                    (Some(_), Some(_)) => Term::Sort(Universe::Box),
+                    _ => error_term(),
+                })
+            }
+            // [Code] and [T-Code]: the empty environment replaces Γ.
+            Term::Code { env_binder, env_ty, arg_binder, arg_ty, body: last }
+            | Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result: last } => {
+                self.memoized(term, |checker| {
+                    checker.require_closed(term)?;
+                    let empty = Env::new();
+                    checker.universe(&empty, env_ty)?;
+                    let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
+                    checker.universe(&with_env, arg_ty)?;
+                    let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
+                    if let Term::CodeTy { .. } = term {
+                        let universe = checker.universe(&with_arg, last)?;
+                        return Ok(universe.map_or_else(error_term, Term::Sort));
+                    }
+                    let body_ty = checker.infer(&with_arg, last)?;
+                    // The resulting code type must itself be well-formed.
+                    if !checker.poisoned(&body_ty) {
+                        checker.universe(&with_arg, &body_ty)?;
+                    }
+                    Ok(Term::CodeTy {
+                        env_binder: *env_binder,
+                        env_ty: env_ty.clone(),
+                        arg_binder: *arg_binder,
+                        arg_ty: arg_ty.clone(),
+                        result: body_ty.rc(),
+                    })
+                })
+            }
+            // [Clo]: substitute the environment into the code type.
+            Term::Closure { code, env: closure_env } => {
+                let code_ty = self.infer(env, code)?;
+                match self.head_normal(env, &code_ty)? {
+                    Some(Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result }) => {
+                        self.check(env, closure_env, &env_ty)?;
+                        // Π x : A[e'/n]. B[e'/n]. In the argument type the
+                        // environment binder is never shadowed, but in the
+                        // result the argument binder may shadow it (x = n),
+                        // in which case every occurrence refers to x and the
+                        // substitution does not reach B; otherwise freshen x
+                        // when the environment mentions it.
+                        let domain = subst(&arg_ty, env_binder, closure_env);
+                        let (binder, codomain) = if arg_binder == env_binder {
+                            (arg_binder, (*result).clone())
+                        } else if occurs_free(arg_binder, closure_env) {
+                            let fresh = arg_binder.freshen();
+                            let renamed = rename(&result, arg_binder, fresh);
+                            (fresh, subst(&renamed, env_binder, closure_env))
+                        } else {
+                            (arg_binder, subst(&result, env_binder, closure_env))
+                        };
+                        return Ok(Term::Pi {
+                            binder,
+                            domain: domain.rc(),
+                            codomain: codomain.rc(),
+                        });
+                    }
+                    Some(other) => {
+                        self.report(TypeError::NotCode {
+                            term: term_to_string(code),
+                            ty: term_to_string(&other),
+                        })?;
+                    }
+                    None => {}
+                }
+                self.infer(env, closure_env)?;
+                Ok(error_term())
+            }
+            // [App]: eliminates closures (Π), never code.
+            Term::App { func, arg } => {
+                let func_ty = self.infer(env, func)?;
+                match self.head_normal(env, &func_ty)? {
+                    Some(Term::Pi { binder, domain, codomain }) => {
+                        self.check(env, arg, &domain)?;
+                        return Ok(subst(&codomain, binder, arg));
+                    }
+                    Some(other) => {
+                        self.report(TypeError::NotAClosure {
+                            term: term_to_string(func),
+                            ty: term_to_string(&other),
+                        })?;
+                    }
+                    None => {}
+                }
+                self.infer(env, arg)?;
+                Ok(error_term())
+            }
+            // [Let]
+            Term::Let { binder, annotation, bound, body } => {
+                let annotation_ok = self.universe(env, annotation)?.is_some();
+                let bound_ok = annotation_ok && self.check(env, bound, annotation)?;
+                if bound_ok && !self.poisoned(bound) && !self.poisoned(annotation) {
+                    let inner =
+                        env.with_definition(*binder, (**bound).clone(), (**annotation).clone());
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, bound))
+                } else {
+                    // Poison the binding: hold the binder abstract at its
+                    // declared annotation, never unfolding a bad definition.
+                    let assumed = if annotation_ok { (**annotation).clone() } else { error_term() };
+                    let inner = env.with_assumption(*binder, assumed);
+                    let body_ty = self.infer(&inner, body)?;
+                    Ok(subst(&body_ty, *binder, &error_term()))
+                }
+            }
+            // [Pair]
+            Term::Pair { first, second, annotation } => {
+                self.universe(env, annotation)?;
+                match self.head_normal(env, annotation)? {
+                    Some(Term::Sigma { binder, first: first_ty, second: second_ty }) => {
+                        self.check(env, first, &first_ty)?;
+                        let expected_second = subst(&second_ty, binder, first);
+                        self.check(env, second, &expected_second)?;
+                        return Ok((**annotation).clone());
+                    }
+                    Some(_) => {
+                        self.report(TypeError::PairAnnotationNotSigma {
+                            annotation: term_to_string(annotation),
+                        })?;
+                    }
+                    None => {}
+                }
+                self.infer(env, first)?;
+                self.infer(env, second)?;
+                Ok(error_term())
+            }
+            // [Fst] and [Snd]
+            Term::Fst(e) | Term::Snd(e) => {
+                let e_ty = self.infer(env, e)?;
+                match self.head_normal(env, &e_ty)? {
+                    Some(Term::Sigma { first, .. }) if matches!(term, Term::Fst(_)) => {
+                        Ok((*first).clone())
+                    }
+                    Some(Term::Sigma { binder, second, .. }) => {
+                        Ok(subst(&second, binder, &Term::Fst(e.clone())))
+                    }
+                    Some(other) => self.report(TypeError::NotAPair {
+                        term: term_to_string(e),
+                        ty: term_to_string(&other),
+                    }),
+                    None => Ok(error_term()),
+                }
+            }
+        }
+    }
+
+    /// Runs the `[Code]`/`[T-Code]` rule for `term`. The judgment depends
+    /// on the code alone (Γ is discarded), so a fail-fast run memoizes it
+    /// by node identity — each distinct code block is checked once.
+    fn memoized(
+        &mut self,
+        term: &Term,
+        rule: impl FnOnce(&mut Self) -> Result<Term>,
+    ) -> Result<Term> {
+        if self.sink.is_some() {
+            return rule(self);
+        }
+        let node = term.clone().rc();
+        let key = (node.id(), self.engine);
+        if let Some(ty) = CODE_MEMO.with(|m| m.borrow().get(&key).cloned()) {
+            return Ok((*ty).clone());
+        }
+        let ty = rule(self)?.rc();
+        CODE_MEMO.with(|m| {
+            let mut memo = m.borrow_mut();
+            if memo.len() >= CODE_MEMO_CAP {
+                memo.clear();
+            }
+            memo.insert(key, ty.clone());
+        });
+        Ok((*ty).clone())
+    }
+
+    /// The syntactic closedness premise of `[Code]`/`[T-Code]`.
+    ///
+    /// The success path — every well-typed program — is O(1): closedness is
+    /// a cached metadata bit on the children's interned nodes. Only the
+    /// error path materializes the ordered free-variable list.
+    fn require_closed(&mut self, term: &Term) -> Result<()> {
+        if is_closed(term) {
+            return Ok(());
+        }
+        let collecting = self.sink.is_some();
+        let leaked: Vec<String> = free_vars(term)
+            .into_iter()
+            .filter(|x| !(collecting && *x == error_symbol()))
+            .map(|x| format!("`{x}`"))
+            .collect();
+        if leaked.is_empty() {
+            return Ok(());
+        }
+        self.report(TypeError::OpenCode { code: term_to_string(term), free: leaked.join(", ") })
+            .map(drop)
+    }
+
+    /// `[Conv]` with closure-η: checks `term` against `expected`. Returns
+    /// `false` only after a collected mismatch, which is then accepted.
+    fn check(&mut self, env: &Env, term: &Term, expected: &Term) -> Result<bool> {
+        let found = self.infer(env, term)?;
+        if self.poisoned(&found) || self.poisoned(expected) {
+            return Ok(true);
+        }
+        match equiv_with_engine(env, &found, expected, &mut self.fuel, self.engine) {
+            Ok(true) => Ok(true),
+            Ok(false) => self
+                .report(TypeError::Mismatch {
+                    expected: term_to_string(expected),
+                    found: term_to_string(&found),
+                    term: term_to_string(term),
+                })
+                .map(|_| false),
+            Err(error) => self.report(TypeError::Reduction(error)).map(|_| true),
+        }
+    }
+
+    /// The universe the type `term` lives in, or `None` after recovery.
+    fn universe(&mut self, env: &Env, term: &Term) -> Result<Option<Universe>> {
+        // `□` itself is a valid classifier even though it is not a term.
+        if matches!(term, Term::Sort(Universe::Box)) {
+            return Ok(Some(Universe::Box));
+        }
+        let ty = self.infer(env, term)?;
+        match self.head_normal(env, &ty)? {
+            Some(Term::Sort(u)) => Ok(Some(u)),
+            Some(other) => self
+                .report(TypeError::NotAUniverse {
+                    term: term_to_string(term),
+                    ty: term_to_string(&other),
+                })
+                .map(|_| None),
+            None => Ok(None),
         }
     }
 }
@@ -685,6 +800,20 @@ mod tests {
             closure(code("m", unit_ty(), "p", arg_ty.clone(), snd(var("p"))), unit_val());
         let expected = infer_closed(&unshadowed).unwrap();
         assert!(definitionally_equal(&Env::new(), &ty, &expected), "{ty} vs {expected}");
+    }
+
+    #[test]
+    fn collecting_runs_never_touch_the_code_memo() {
+        use crate::tolerant::{error_term, infer_tolerant};
+        // Recovery accepts code whose body is the sentinel …
+        let poisoned = closure(code("n", unit_ty(), "x", bool_ty(), error_term()), unit_val());
+        assert!(infer_tolerant(&Env::new(), &poisoned).is_clean());
+        // … but must not leave its code type behind for a strict check on
+        // the same thread, which still rejects the code as open.
+        match infer_closed(&poisoned) {
+            Err(TypeError::OpenCode { free, .. }) => assert!(free.contains("<error>"), "{free}"),
+            other => panic!("expected OpenCode, got {other:?}"),
+        }
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //! AST level (spliced sentinels, unbound variables, swapped binders,
 //! deleted annotations), then driven through the whole pipeline — strict
 //! and keep-going, parse → typecheck → translate → verify. The gate is
-//! twofold: nothing panics, and the strict and tolerant front ends never
-//! disagree about whether a program is broken.
+//! threefold: nothing panics, the strict and tolerant front ends never
+//! disagree about whether a program is broken, and on sentinel-free input
+//! the first tolerant diagnostic is the strict error (first-error parity).
 
+use cccc::compiler::pipeline::diagnostic_of_compile_error;
 use cccc::source::{
     self, builder as s, generate::TermGenerator, pretty::term_to_string, Env, Term,
 };
 use cccc::target;
 use cccc::util::symbol::Symbol;
-use cccc::Compiler;
+use cccc::{Compiler, Diagnostic};
 use proptest::prelude::*;
 
 /// Deterministic splitmix64 — corruption choices must replay from the
@@ -155,6 +157,42 @@ fn corrupt_ast(term: &Term, rng: &mut Rng) -> Term {
     corrupt_at(term, target, &mut 0, rng)
 }
 
+/// `text` with every fresh-name suffix (`$` and its digits) erased and
+/// every whitespace run collapsed to one space: two runs number their fresh
+/// binders from one global counter, so the same type can print as `x$12`
+/// in one and `x$140` in the other, and the longer name can move the
+/// pretty-printer's line breaks.
+fn erase_fresh(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut chars = text.chars().peekable();
+    while let Some(c) = chars.next() {
+        if c.is_whitespace() {
+            while chars.next_if(|c| c.is_whitespace()).is_some() {}
+            out.push(' ');
+            continue;
+        }
+        out.push(c);
+        if c == '$' {
+            while chars.next_if(char::is_ascii_digit).is_some() {}
+        }
+    }
+    out
+}
+
+/// First-error parity: the collecting checker runs the same rules as the
+/// fail-fast one, so its first diagnostic is the strict error, cut off at
+/// the first report — same code, same message up to fresh names and
+/// layout.
+fn check_first_error_parity(strict: &Diagnostic, collected: &[Diagnostic], what: &str) {
+    let first = collected.first().unwrap_or_else(|| panic!("no diagnostics for {what}"));
+    assert_eq!(first.code, strict.code, "first-error code differs for {what}");
+    assert_eq!(
+        erase_fresh(&first.message),
+        erase_fresh(&strict.message),
+        "first-error message differs for {what}"
+    );
+}
+
 /// The agreement gate both properties below lean on: strict success must
 /// imply a clean tolerant run (with the backend artifacts attached), and
 /// a clean tolerant run must imply strict success.
@@ -206,9 +244,13 @@ proptest! {
         let mut rng = Rng(seed ^ 0x5EED_CAFE);
         for _ in 0..8 {
             let corrupted = corrupt_ast(&term, &mut rng);
-            let strict_ok = compiler.compile_closed(&corrupted).is_ok();
+            let strict = compiler.compile_closed(&corrupted);
             let outcome = compiler.compile_keep_going(&Env::new(), &corrupted);
-            check_agreement(strict_ok, &outcome, "a corrupted AST");
+            check_agreement(strict.is_ok(), &outcome, "a corrupted AST");
+            if let (Err(error), false) = (&strict, source::tolerant::is_poisoned(&corrupted)) {
+                let strict = diagnostic_of_compile_error(error);
+                check_first_error_parity(&strict, &outcome.diagnostics, "a corrupted AST");
+            }
             // Sentinel-bearing terms are quarantined from the backend even
             // when recovery produced no diagnostics at all.
             if source::tolerant::is_poisoned(&corrupted) {
@@ -239,9 +281,13 @@ proptest! {
                     target::builder::var("__fuzz_unbound"),
                 ),
             };
-            let strict_ok = target::typecheck::infer(&target::Env::new(), &smashed).is_ok();
+            let strict = target::typecheck::infer(&target::Env::new(), &smashed);
             let outcome = target::tolerant::infer_tolerant(&target::Env::new(), &smashed);
-            prop_assert_eq!(strict_ok, outcome.is_clean(), "target checkers disagree");
+            prop_assert_eq!(strict.is_ok(), outcome.is_clean(), "target checkers disagree");
+            if let (Err(error), false) = (&strict, target::tolerant::is_poisoned(&smashed)) {
+                let strict = Diagnostic::error(error.to_string()).with_code(error.code());
+                check_first_error_parity(&strict, &outcome.diagnostics, "a smashed target");
+            }
         }
     }
 }
