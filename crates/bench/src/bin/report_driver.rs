@@ -24,7 +24,10 @@
 //!   artifact is α-equivalent to the sequential pipeline's output (and
 //!   the linked root observes the same boolean);
 //! * **incremental** — a warm no-change rebuild compiles zero units and
-//!   is ≥ 10× faster than the 1-worker cold build;
+//!   finishes under a fixed absolute bound ([`WARM_REBUILD_MAX_NS`]). Its
+//!   ratio to the 1-worker cold build is reported but not gated: its
+//!   denominator is the cold pipeline, so every compiler speed-up would
+//!   shrink it;
 //! * **restart-warm** — a **separate operating-system process** rebuilding
 //!   the 16-unit diamond against a store another process populated
 //!   compiles zero units, runs zero phases, decodes zero term-payload
@@ -89,6 +92,12 @@ const RESTART_WARM_MAX_NS: u128 = 1_000_000;
 /// headroom for slower CI runners while still failing a rebuild that
 /// drifts towards cascade cost.
 const EARLY_CUTOFF_MAX_NS: u128 = 1_500_000;
+/// Upper bound on each workload's best-of-reps warm no-change rebuild
+/// (ns). On a shared 2-CPU host it measured 27–116 µs across the four
+/// workloads in nine runs, against 1.8–9.3 ms for their 1-worker cold
+/// builds (ratios 32–159×); the bound leaves headroom for slower CI
+/// runners while still failing a warm path that drifts towards cold cost.
+const WARM_REBUILD_MAX_NS: u128 = 500_000;
 
 /// Frontier release policy for the makespan model.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -919,10 +928,10 @@ fn main() {
             numbers.name
         );
         assert!(
-            numbers.warm_speedup() >= 10.0,
-            "warm rebuild of {} is only {:.1}x faster than cold (need >= 10x)",
+            numbers.warm_ns <= WARM_REBUILD_MAX_NS,
+            "warm rebuild of {} took {} ns (need <= {WARM_REBUILD_MAX_NS} ns)",
             numbers.name,
-            numbers.warm_speedup()
+            numbers.warm_ns
         );
     }
 

@@ -801,13 +801,13 @@ impl Compiler {
     }
 
     /// Clears the thread's memoization state: both languages' conversion
-    /// memo tables (and their counters) and the CC-CC `[Code]` typing
+    /// memo tables (and their counters) and the CC-CC closed-term typing
     /// memo. Compilation results are unaffected — only the caches that
     /// make repeated checking of identical subterms O(1) are dropped.
     pub fn reset_caches() {
         src::equiv::reset_conv_cache();
         tgt::equiv::reset_conv_cache();
-        tgt::typecheck::reset_code_memo();
+        tgt::typecheck::reset_closed_memo();
     }
 
     /// Runs the `typecheck` phase alone: infers the CC type of `term`

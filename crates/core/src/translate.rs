@@ -22,7 +22,8 @@
 //! and projection chains the translation mass-produces land on shared
 //! nodes, the `FV` metafunction (step 2) reads cached free-variable
 //! metadata instead of traversing, and the re-check of the output hits the
-//! `[Code]` and conversion memos for every repeated code block.
+//! closed-term typing and conversion memos for every repeated closed
+//! subterm: code blocks, environment telescopes, tuple annotations.
 
 use crate::fv::{dependent_free_vars, FvError};
 use cccc_source as src;

@@ -17,9 +17,10 @@
 //! | Corollary 5.8 (Whole programs) | [`check_whole_program`] |
 //!
 //! The checkers run on the memoized, hash-consed checking stack: the CC-CC
-//! type checker's `[Code]` memo and both equivalence checkers' conversion
-//! memos persist across checks on a thread, so verifying a corpus re-checks
-//! each distinct code block and decides each distinct conversion pair once.
+//! type checker's closed-term memo and both equivalence checkers' conversion
+//! memos persist across checks on a thread, so verifying a corpus types
+//! each distinct closed subterm and decides each distinct conversion pair
+//! once.
 
 use crate::link::{
     check_source_substitution, ground_values_related, link_source, link_target,

@@ -3,8 +3,8 @@
 //! including `[Code]`, `[T-Code]` and `[Clo]` — with the collecting sink,
 //! recovering with the error sentinel `<error>` exactly like the
 //! source-side `cccc_source::tolerant`. A tolerant run never touches the
-//! `[Code]` memo, and its diagnostics carry no spans (CC-CC terms are
-//! translated, never parsed).
+//! closed-term typing memo, and its diagnostics carry no spans (CC-CC terms
+//! are translated, never parsed).
 
 use crate::ast::Term;
 use crate::env::Env;

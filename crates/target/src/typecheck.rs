@@ -32,9 +32,14 @@
 //! whose [`Diagnostic`]s carry [`TypeError::code`] but no spans: CC-CC terms
 //! are translated, never parsed). Sentinel handling — including leaving
 //! `<error>` out of the closedness premise of `[Code]` — runs only when
-//! collecting. The `[Code]`/`[T-Code]` memo is read and written only when
-//! failing fast, so recovery results never reach a cache that a strict
-//! check could observe.
+//! collecting.
+//!
+//! Failing fast, the judgment of every closed compound term is memoized by
+//! node identity. This is sound by strengthening: a closed term's
+//! derivation never consults the ambient `Γ`, the same argument that lets
+//! `[Code]` check code in the empty environment. The memo is read and
+//! written only when failing fast, so recovery results never reach a cache
+//! that a strict check could observe.
 
 use crate::ast::{RcTerm, Term, Universe};
 use crate::env::{Decl, Env};
@@ -258,28 +263,41 @@ pub(crate) fn infer_collecting(env: &Env, term: &Term, engine: Engine) -> Tolera
     TolerantOutcome { ty, diagnostics: checker.sink.unwrap_or_default() }
 }
 
-/// The code-typing memo never outgrows this many entries; it is cleared
+/// The closed-term memo never outgrows this many entries; it is cleared
 /// wholesale when it would.
-const CODE_MEMO_CAP: usize = 1 << 18;
+const CLOSED_MEMO_CAP: usize = 1 << 18;
 
 thread_local! {
-    /// Memoized `[Code]`/`[T-Code]` results, keyed by node identity (and
-    /// engine, so the step-engine oracle never reads NbE-derived entries).
+    /// Memoized fail-fast typing of closed compound terms, keyed by node
+    /// identity and engine (so the step-engine oracle never reads
+    /// NbE-derived entries).
     ///
-    /// This is sound *unconditionally* — no environment component is
-    /// needed — because both rules discard the ambient `Γ` and check the
-    /// code in the empty environment, so the resulting type depends on the
-    /// code term alone. Hash-consing makes the duplicated code that
-    /// closure conversion mass-produces (and that separate compilation
-    /// re-verifies) literally the same node, so each distinct code block
-    /// is checked once per thread.
-    static CODE_MEMO: RefCell<FxHashMap<(NodeId, Engine), RcTerm>> =
+    /// No environment component is needed, by strengthening: a closed
+    /// term's derivation never consults the ambient `Γ`. Every variable it
+    /// looks up is bound inside the term and shadows any binding of the
+    /// same name in `Γ`, so normalization and conversion unfold only
+    /// definitions the term makes itself, and the inferred type is itself
+    /// closed. `[Code]`/`[T-Code]`, which discard `Γ` outright,
+    /// are the special case the paper builds in. Hash-consing makes the
+    /// closed types and code that closure conversion mass-produces — the
+    /// Σ annotation of every environment tuple, every code telescope —
+    /// literally the same node, so each is checked once per thread. Node
+    /// ids are never reused, so a stale key can miss but never mis-hit.
+    ///
+    /// Only the fail-fast sink reads or writes the memo, so recovery
+    /// results never reach it, and errors are never stored. A hit skips
+    /// the fuel the derivation would have spent.
+    static CLOSED_MEMO: RefCell<FxHashMap<(NodeId, Engine), RcTerm>> =
         RefCell::new(FxHashMap::default());
+
+    /// Memo hits on this thread, observed by the unit tests.
+    #[cfg(test)]
+    static CLOSED_MEMO_HITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Clears this thread's `[Code]` typing memo.
-pub fn reset_code_memo() {
-    CODE_MEMO.with(|m| m.borrow_mut().clear());
+/// Clears this thread's closed-term typing memo.
+pub fn reset_closed_memo() {
+    CLOSED_MEMO.with(|m| m.borrow_mut().clear());
 }
 
 /// The checker state. The rules below are the only typing rules of CC-CC.
@@ -338,7 +356,27 @@ impl Checker {
         }
     }
 
+    /// `Γ ⊢ e : A`. A fail-fast judgment on a closed compound term goes
+    /// through `CLOSED_MEMO`; atoms are cheaper than a memo probe.
     fn infer(&mut self, env: &Env, term: &Term) -> Result<Term> {
+        let atom = matches!(
+            term,
+            Term::Var(_)
+                | Term::Sort(_)
+                | Term::Unit
+                | Term::UnitVal
+                | Term::BoolTy
+                | Term::BoolLit(_)
+        );
+        if self.sink.is_none() && !atom && is_closed(term) {
+            self.memoized(env, term)
+        } else {
+            self.rule(env, term)
+        }
+    }
+
+    /// The typing rule for the head of `term`, one arm per form.
+    fn rule(&mut self, env: &Env, term: &Term) -> Result<Term> {
         match term {
             // The sentinel types as itself, silently: whoever introduced it
             // already reported.
@@ -384,29 +422,27 @@ impl Checker {
             // [Code] and [T-Code]: the empty environment replaces Γ.
             Term::Code { env_binder, env_ty, arg_binder, arg_ty, body: last }
             | Term::CodeTy { env_binder, env_ty, arg_binder, arg_ty, result: last } => {
-                self.memoized(term, |checker| {
-                    checker.require_closed(term)?;
-                    let empty = Env::new();
-                    checker.universe(&empty, env_ty)?;
-                    let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
-                    checker.universe(&with_env, arg_ty)?;
-                    let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
-                    if let Term::CodeTy { .. } = term {
-                        let universe = checker.universe(&with_arg, last)?;
-                        return Ok(universe.map_or_else(error_term, Term::Sort));
-                    }
-                    let body_ty = checker.infer(&with_arg, last)?;
-                    // The resulting code type must itself be well-formed.
-                    if !checker.poisoned(&body_ty) {
-                        checker.universe(&with_arg, &body_ty)?;
-                    }
-                    Ok(Term::CodeTy {
-                        env_binder: *env_binder,
-                        env_ty: env_ty.clone(),
-                        arg_binder: *arg_binder,
-                        arg_ty: arg_ty.clone(),
-                        result: body_ty.rc(),
-                    })
+                self.require_closed(term)?;
+                let empty = Env::new();
+                self.universe(&empty, env_ty)?;
+                let with_env = empty.with_assumption(*env_binder, (**env_ty).clone());
+                self.universe(&with_env, arg_ty)?;
+                let with_arg = with_env.with_assumption(*arg_binder, (**arg_ty).clone());
+                if let Term::CodeTy { .. } = term {
+                    let universe = self.universe(&with_arg, last)?;
+                    return Ok(universe.map_or_else(error_term, Term::Sort));
+                }
+                let body_ty = self.infer(&with_arg, last)?;
+                // The resulting code type must itself be well-formed.
+                if !self.poisoned(&body_ty) {
+                    self.universe(&with_arg, &body_ty)?;
+                }
+                Ok(Term::CodeTy {
+                    env_binder: *env_binder,
+                    env_ty: env_ty.clone(),
+                    arg_binder: *arg_binder,
+                    arg_ty: arg_ty.clone(),
+                    result: body_ty.rc(),
                 })
             }
             // [Clo]: substitute the environment into the code type.
@@ -526,26 +562,19 @@ impl Checker {
         }
     }
 
-    /// Runs the `[Code]`/`[T-Code]` rule for `term`. The judgment depends
-    /// on the code alone (Γ is discarded), so a fail-fast run memoizes it
-    /// by node identity — each distinct code block is checked once.
-    fn memoized(
-        &mut self,
-        term: &Term,
-        rule: impl FnOnce(&mut Self) -> Result<Term>,
-    ) -> Result<Term> {
-        if self.sink.is_some() {
-            return rule(self);
-        }
-        let node = term.clone().rc();
-        let key = (node.id(), self.engine);
-        if let Some(ty) = CODE_MEMO.with(|m| m.borrow().get(&key).cloned()) {
+    /// Runs the rule for the closed term `term` once per node and engine
+    /// on this thread; errors are returned, never stored.
+    fn memoized(&mut self, env: &Env, term: &Term) -> Result<Term> {
+        let key = (term.clone().rc().id(), self.engine);
+        if let Some(ty) = CLOSED_MEMO.with(|m| m.borrow().get(&key).cloned()) {
+            #[cfg(test)]
+            CLOSED_MEMO_HITS.with(|hits| hits.set(hits.get() + 1));
             return Ok((*ty).clone());
         }
-        let ty = rule(self)?.rc();
-        CODE_MEMO.with(|m| {
+        let ty = self.rule(env, term)?.rc();
+        CLOSED_MEMO.with(|m| {
             let mut memo = m.borrow_mut();
-            if memo.len() >= CODE_MEMO_CAP {
+            if memo.len() >= CLOSED_MEMO_CAP {
                 memo.clear();
             }
             memo.insert(key, ty.clone());
@@ -814,6 +843,81 @@ mod tests {
             Err(TypeError::OpenCode { free, .. }) => assert!(free.contains("<error>"), "{free}"),
             other => panic!("expected OpenCode, got {other:?}"),
         }
+    }
+
+    fn closed_memo_hits() -> u64 {
+        CLOSED_MEMO_HITS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn closed_judgments_are_reused_under_any_ambient_environment() {
+        // let A : ⋆ = Bool in ⟪λ (n : Σ A : ⋆. 1, A : fst n). A, ⟨A, ⟨⟩⟩⟫:
+        // closed, but its derivation looks up the let-bound `A`, and [Clo]
+        // freshens the argument binder `A` because the environment
+        // mentions it. The node is held alive, as the pipeline holds its
+        // terms: a dropped node's id is never reused, so a rebuilt term
+        // would miss.
+        let env_ty = sigma("A", star(), unit_ty());
+        let term = let_(
+            "A",
+            star(),
+            bool_ty(),
+            closure(
+                code("n", env_ty.clone(), "A", fst(var("n")), var("A")),
+                pair(var("A"), unit_val(), env_ty),
+            ),
+        )
+        .rc();
+        reset_closed_memo();
+        let empty = infer_closed(&term).unwrap();
+        assert!(definitionally_equal(&Env::new(), &empty, &pi("x", bool_ty(), bool_ty())));
+        let a = Symbol::intern("A");
+        let ambients = [
+            Env::new().with_assumption(a, bool_ty()),
+            Env::new().with_definition(a, tt(), bool_ty()),
+        ];
+        for ambient in &ambients {
+            let before = closed_memo_hits();
+            let ty = infer(ambient, &term).unwrap();
+            assert_eq!(closed_memo_hits(), before + 1, "not a memo hit under {ambient:?}");
+            assert!(alpha_eq(&ty, &empty), "{ty} vs {empty}");
+            // A re-derivation would have freshened the binder anew.
+            assert!(ty.rc().same(&empty.clone().rc()), "the closure's type was re-derived");
+        }
+    }
+
+    #[test]
+    fn open_terms_are_never_memoized() {
+        let x = Symbol::intern("x");
+        let term = fst(var("x")).rc();
+        let bools = Env::new().with_assumption(x, sigma("b", bool_ty(), unit_ty()));
+        let units = Env::new().with_assumption(x, sigma("u", unit_ty(), unit_ty()));
+        assert!(alpha_eq(&infer(&bools, &term).unwrap(), &bool_ty()));
+        assert!(alpha_eq(&infer(&units, &term).unwrap(), &unit_ty()));
+    }
+
+    #[test]
+    fn errors_are_never_memoized() {
+        // ⟪λ (n : 1, x : Bool). ⟨tt, ff⟩ as Bool, ⟨⟩⟫ is closed and ill-typed.
+        let bad =
+            closure(code("n", unit_ty(), "x", bool_ty(), pair(tt(), ff(), bool_ty())), unit_val())
+                .rc();
+        for _ in 0..2 {
+            let before = closed_memo_hits();
+            assert!(matches!(infer_closed(&bad), Err(TypeError::PairAnnotationNotSigma { .. })));
+            assert_eq!(closed_memo_hits(), before, "an error was answered from the memo");
+        }
+    }
+
+    #[test]
+    fn engines_never_share_memo_entries() {
+        let clo = closure(identity_code(), unit_val()).rc();
+        reset_closed_memo();
+        let nbe = infer_closed(&clo).unwrap();
+        let before = closed_memo_hits();
+        let step = infer_with_engine(&Env::new(), &clo, Engine::Step).unwrap();
+        assert_eq!(closed_memo_hits(), before, "the step engine read an NbE entry");
+        assert!(alpha_eq(&nbe, &step), "{nbe} vs {step}");
     }
 
     #[test]

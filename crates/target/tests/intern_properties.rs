@@ -12,7 +12,10 @@
 //!   recomputed-from-scratch traversal;
 //! * **memoized conversion** — the memoized `equiv` agrees with the raw
 //!   NbE engine (`conv_terms`, no memo) and the step-based oracle
-//!   (`equiv_spec`), and answers identically when asked again from cache.
+//!   (`equiv_spec`), and answers identically when asked again from cache;
+//! * **memoized typing** — the closed-term typing memo answers with the
+//!   same type (up to α) and verdict whether it is cold or warmed by other
+//!   programs, and the step engine agrees.
 
 use cccc_target::builder::*;
 use cccc_target::subst::alpha_eq;
@@ -286,6 +289,55 @@ fn memoized_conversion_agrees_with_raw_nbe_and_step_oracle() {
         let mut fuel = Fuel::default();
         let again = equiv::equiv(&env, &left, &right, &mut fuel).unwrap_or(false);
         assert_eq!(memoized, again, "seed {seed}: cached answer changed");
+    }
+}
+
+/// Every closed subterm of the generated programs, plus one ill-typed
+/// closed wrapper per program (`if p then p else ⟨⟩`), so verdicts cover
+/// errors too. Each is held as a live node, as the pipeline holds its terms.
+fn closed_judgments(seed_base: u64) -> Vec<RcTerm> {
+    let mut terms = Vec::new();
+    for seed in 0..SEEDS {
+        let program = TargetGenerator::new(seed_base + seed).gen_bool(3);
+        program.visit(&mut |sub| {
+            if cccc_target::subst::is_closed(sub) {
+                terms.push(sub.clone().rc());
+            }
+        });
+        terms.push(ite(program.clone(), program, unit_val()).rc());
+    }
+    terms
+}
+
+#[test]
+fn closed_memo_state_never_changes_a_typing_verdict() {
+    let terms = closed_judgments(70_000);
+    let env = Env::new();
+    let cold: Vec<_> = terms
+        .iter()
+        .map(|t| {
+            typecheck::reset_closed_memo();
+            typecheck::infer(&env, t)
+        })
+        .collect();
+    // Warm the memo with every other judgment, in both orders.
+    typecheck::reset_closed_memo();
+    for reversed in [false, true] {
+        let mut order: Vec<usize> = (0..terms.len()).collect();
+        if reversed {
+            order.reverse();
+        }
+        for i in order {
+            let term = &terms[i];
+            let warm = typecheck::infer(&env, term);
+            match (&cold[i], &warm) {
+                (Ok(c), Ok(w)) => assert!(alpha_eq(c, w), "{}: cold {c} vs warm {w}", &**term),
+                (Err(c), Err(w)) => assert_eq!(c.code(), w.code(), "{}", &**term),
+                _ => panic!("{}: cold {:?} vs warm {warm:?}", &**term, cold[i]),
+            }
+            let step = typecheck::infer_with_engine(&env, term, equiv::Engine::Step);
+            assert_eq!(warm.is_ok(), step.is_ok(), "{}: NbE vs step verdict", &**term);
+        }
     }
 }
 

@@ -122,6 +122,55 @@ proptest! {
         prop_assert!(all_closed);
     }
 
+    /// The closed-term typing memo never changes a CC-CC typing verdict:
+    /// on closure-converted programs, every code block, and one ill-typed
+    /// self-application per program, a cold memo and a memo warmed by the
+    /// other programs give α-equivalent types, and the step engine agrees.
+    #[test]
+    fn prop_closed_memo_state_never_changes_a_verdict(seed in any::<u64>()) {
+        let mut terms = Vec::new();
+        for offset in 0..4 {
+            let (program, _ty) = generator(seed.wrapping_add(offset)).gen_program();
+            let (translated, _) = cccc::compiler::translate_program(&program).unwrap();
+            translated.visit(&mut |node| {
+                if matches!(node, target::Term::Code { .. }) {
+                    terms.push(node.clone().rc());
+                }
+            });
+            terms.push(target::builder::app(translated.clone(), translated.clone()).rc());
+            terms.push(translated.rc());
+        }
+        let env = target::Env::new();
+        let cold: Vec<_> = terms
+            .iter()
+            .map(|t| {
+                cccc::Compiler::reset_caches();
+                target::typecheck::infer(&env, t)
+            })
+            .collect();
+        cccc::Compiler::reset_caches();
+        for reversed in [false, true] {
+            let mut order: Vec<usize> = (0..terms.len()).collect();
+            if reversed {
+                order.reverse();
+            }
+            for i in order {
+                let warm = target::typecheck::infer(&env, &terms[i]);
+                match (&cold[i], &warm) {
+                    (Ok(c), Ok(w)) => prop_assert!(target::subst::alpha_eq(c, w), "{c} vs {w}"),
+                    (Err(c), Err(w)) => prop_assert_eq!(c.code(), w.code()),
+                    _ => prop_assert!(false, "cold {:?} vs warm {:?}", cold[i], warm),
+                }
+                let step = target::typecheck::infer_with_engine(
+                    &env,
+                    &terms[i],
+                    target::equiv::Engine::Step,
+                );
+                prop_assert_eq!(warm.is_ok(), step.is_ok());
+            }
+        }
+    }
+
     /// The number of closures equals the number of source λ-abstractions.
     #[test]
     fn prop_closure_count_matches_lambda_count(seed in any::<u64>()) {
