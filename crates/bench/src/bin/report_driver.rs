@@ -60,10 +60,14 @@
 //!   host noise;
 //! * **observability** — tracing costs nothing when off (the measured
 //!   per-call price of a disabled span times the span count of a traced
-//!   build stays under 2% of the untraced build) and little when on
-//!   (traced cold build ≤ 1.10× the untraced one, best of reps), and
-//!   the trace-derived makespan agrees with the event-driven frontier
-//!   model run over the same build's measured per-unit durations.
+//!   build stays under 2% of the untraced build) and little when on (the
+//!   measured price of one span or event record into an installed sink
+//!   stays under a fixed absolute bound, [`ENABLED_RECORD_MAX_NS`]; the
+//!   traced-over-untraced build ratio is reported but not gated: its
+//!   denominator is the untraced build, so every compiler speed-up would
+//!   inflate it), and the trace-derived makespan agrees with the
+//!   event-driven frontier model run over the same build's measured
+//!   per-unit durations.
 
 use cccc_core::pipeline::CompilerOptions;
 use cccc_driver::query::QueryCounts;
@@ -98,6 +102,15 @@ const EARLY_CUTOFF_MAX_NS: u128 = 1_500_000;
 /// builds (ratios 32–159×); the bound leaves headroom for slower CI
 /// runners while still failing a warm path that drifts towards cold cost.
 const WARM_REBUILD_MAX_NS: u128 = 500_000;
+/// Upper bound on the micro-measured price of one enabled trace record
+/// (ns): a span opened and closed, or an event, into an installed sink.
+/// It measured 174–238 ns on a shared 2-CPU host (a disabled span: 5–7 ns),
+/// and a traced 16-unit diamond build makes ~195 records against
+/// 2.9–4.3 ms of untraced build. The bound leaves headroom for slower CI
+/// runners. It replaces a traced-over-untraced build ratio, which read
+/// 0.75–1.21× on the same host: its denominator is the untraced build,
+/// so every compiler speed-up inflated it.
+const ENABLED_RECORD_MAX_NS: f64 = 1_000.0;
 
 /// Frontier release policy for the makespan model.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -502,6 +515,9 @@ struct TraceNumbers {
     traced_ns: u128,
     /// Micro-measured per-call price of a span with no sink installed.
     disabled_span_ns: f64,
+    /// Micro-measured price of one span or event record with a sink
+    /// installed and a unit label set, as on a traced build's worker.
+    enabled_record_ns: f64,
     /// Spans one traced build records (sizes the disabled-cost bound).
     span_count: usize,
     /// Events one traced build records.
@@ -510,7 +526,8 @@ struct TraceNumbers {
 }
 
 impl TraceNumbers {
-    /// Traced-over-untraced wall ratio (the enabled overhead).
+    /// Traced-over-untraced wall ratio (the enabled overhead). Reported,
+    /// not gated: its denominator is the untraced build.
     fn enabled_overhead(&self) -> f64 {
         self.traced_ns as f64 / self.plain_ns.max(1) as f64
     }
@@ -563,6 +580,22 @@ fn measure_tracing(reps: u32, host_cpus: usize) -> TraceNumbers {
     }
     let disabled_span_ns = started.elapsed().as_nanos() as f64 / f64::from(iters);
 
+    // The enabled path, micro-measured the same way: one span and one
+    // event per iteration into an installed sink, with a unit label set
+    // so each record clones it, as a worker's records do.
+    let enabled_record_ns = {
+        let sink = cccc_util::trace::TraceSink::enabled();
+        let _installed = sink.install(0);
+        cccc_util::trace::set_unit(Some("overhead.probe"));
+        let iters: u32 = 20_000;
+        let started = Instant::now();
+        for _ in 0..iters {
+            drop(cccc_util::trace::span("overhead.probe"));
+            cccc_util::trace::event("overhead.probe", &[]);
+        }
+        started.elapsed().as_nanos() as f64 / f64::from(2 * iters)
+    };
+
     // Trace vs model: rebuild each family traced and compare the
     // trace-derived makespan to the frontier simulation over the *same*
     // report's per-unit durations. 2-worker comparisons need 2 CPUs —
@@ -590,7 +623,15 @@ fn measure_tracing(reps: u32, host_cpus: usize) -> TraceNumbers {
         }
     }
 
-    TraceNumbers { plain_ns, traced_ns, disabled_span_ns, span_count, event_count, cross_checks }
+    TraceNumbers {
+        plain_ns,
+        traced_ns,
+        disabled_span_ns,
+        enabled_record_ns,
+        span_count,
+        event_count,
+        cross_checks,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -898,10 +939,11 @@ fn main() {
 
     let tracing = measure_tracing(reps, host_cpus);
     println!(
-        "tracing (diamond_16)   plain {:>12} ns   traced {:>12} ns   enabled overhead {:.3}x   disabled span {:.1} ns x {} calls = {:.4}% of plain",
+        "tracing (diamond_16)   plain {:>12} ns   traced {:>12} ns   enabled overhead {:.3}x   enabled record {:.1} ns   disabled span {:.1} ns x {} calls = {:.4}% of plain",
         tracing.plain_ns,
         tracing.traced_ns,
         tracing.enabled_overhead(),
+        tracing.enabled_record_ns,
         tracing.disabled_span_ns,
         tracing.span_count + tracing.event_count,
         tracing.disabled_overhead() * 100.0,
@@ -1034,9 +1076,9 @@ fn main() {
         tracing.disabled_overhead() * 100.0
     );
     assert!(
-        tracing.enabled_overhead() <= 1.10,
-        "enabled tracing costs {:.3}x an untraced build (need <= 1.10x)",
-        tracing.enabled_overhead()
+        tracing.enabled_record_ns <= ENABLED_RECORD_MAX_NS,
+        "an enabled trace record costs {:.1} ns (need <= {ENABLED_RECORD_MAX_NS} ns)",
+        tracing.enabled_record_ns
     );
     for check in &tracing.cross_checks {
         // The model runs on the build's own measured durations, so the
@@ -1216,11 +1258,13 @@ fn render_json(
     out.push_str(&format!(
         "  \"tracing\": {{ \"workload\": \"diamond_16\", \"plain_cold_ns\": {}, \
          \"traced_cold_ns\": {}, \"enabled_overhead\": {:.3}, \
+         \"enabled_record_ns\": {:.1}, \
          \"disabled_span_ns\": {:.1}, \"instrumentation_calls\": {}, \
          \"disabled_overhead\": {:.5},\n    \"trace_vs_model\": [\n",
         tracing.plain_ns,
         tracing.traced_ns,
         tracing.enabled_overhead(),
+        tracing.enabled_record_ns,
         tracing.disabled_span_ns,
         tracing.span_count + tracing.event_count,
         tracing.disabled_overhead(),

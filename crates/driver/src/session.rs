@@ -427,8 +427,8 @@ struct SchedState {
     /// When each in-flight unit was claimed (`None` once it settles) —
     /// the deadline watchdog scans these.
     claimed_at: Vec<Option<Instant>>,
-    /// Units the watchdog flagged over the per-unit deadline (sorted,
-    /// deduplicated on insert); reported in
+    /// Units flagged over the per-unit deadline, by the watchdog or as
+    /// they settle (sorted, deduplicated on insert); reported in
     /// [`BuildOutcome::DeadlineExceeded`].
     overran: Vec<String>,
 }
@@ -1132,7 +1132,14 @@ fn worker_loop(
 
         // Publish the outcome and wake anyone waiting on the frontier.
         let mut guard = state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.claimed_at[unit_index] = None;
+        // The watchdog only polls, so a unit can overrun and settle
+        // between two of its ticks: judge the settled unit here too.
+        let claimed_at = guard.claimed_at[unit_index].take();
+        if let (Some(limit), Some(at)) = (ctx.options.unit_deadline, claimed_at) {
+            if at.elapsed() > limit {
+                flag_overrun(ctx, &mut guard, unit_index);
+            }
+        }
         guard.outcomes[unit_index] = outcome;
         guard.reports[unit_index] = Some(report);
         guard.remaining -= 1;
@@ -1543,15 +1550,21 @@ fn watchdog_loop(ctx: &BuildCtx<'_>, state: &Mutex<SchedState>, build_started: I
                     })
                     .collect();
                 for u in overrunning {
-                    ctx.cancel.cancel_with(CancelReason::UnitDeadline);
-                    let name = ctx.graph.unit_at(u).name.clone();
-                    if let Err(position) = guard.overran.binary_search(&name) {
-                        guard.overran.insert(position, name);
-                    }
+                    flag_overrun(ctx, &mut guard, u);
                 }
             }
         }
         std::thread::sleep(WATCHDOG_TICK);
+    }
+}
+
+/// Records unit `u` as over [`CompilerOptions::unit_deadline`] (sorted,
+/// deduplicated) and trips the session's token.
+fn flag_overrun(ctx: &BuildCtx<'_>, state: &mut SchedState, u: usize) {
+    ctx.cancel.cancel_with(CancelReason::UnitDeadline);
+    let name = &ctx.graph.unit_at(u).name;
+    if let Err(position) = state.overran.binary_search(name) {
+        state.overran.insert(position, name.clone());
     }
 }
 

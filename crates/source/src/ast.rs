@@ -152,7 +152,7 @@ pub fn intern_stats() -> InternStats {
 }
 
 /// Number of entries currently in the CC interner table (live nodes
-/// plus not-yet-pruned dead ones).
+/// plus dead slots not yet reused or swept).
 pub fn intern_table_len() -> usize {
     INTERNER.with(|i| i.borrow().len())
 }

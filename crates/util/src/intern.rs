@@ -15,7 +15,10 @@
 //!   closedness premise of CC-CC becomes a bit test.
 //! * [`Interner<T>`] — the per-language deduplicating constructor. Each
 //!   language crate owns a thread-local instance and routes its smart
-//!   constructors (`Term::rc`) through it.
+//!   constructors (`Term::rc`) through it. Its table maps a head's
+//!   structural hash to *weak* handles, so it hashes each request once,
+//!   never clones a value, and keeps nothing alive; dead slots are reused
+//!   or swept once the table has doubled since the last sweep.
 //!
 //! # Invariants
 //!
@@ -32,6 +35,9 @@
 //! 3. **Metadata agreement** — `meta()` always equals the value recomputed
 //!    from scratch by [`Internable::compute_meta`]; it is computed exactly
 //!    once per node, from the children's already-cached metadata.
+//! 4. **No retention** — the table holds no strong reference, to a node or
+//!    to any part of one: a dropped term is freed at once, whole, in
+//!    constant stack depth however deep it is.
 //!
 //! Identity equality is *structural* equality, not α-equivalence: two
 //! α-equivalent terms with different binder names are distinct nodes. The
@@ -47,9 +53,13 @@
 //! at compilation-unit boundaries.
 
 use crate::symbol::Symbol;
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::mem::ManuallyDrop;
 use std::rc::{Rc, Weak};
 
 /// A fast, non-cryptographic hasher (the FxHash algorithm used by rustc).
@@ -339,7 +349,7 @@ impl NodeMeta {
 /// deduplication invariant — coincides with deep structural equality.
 /// `compute_meta` derives this node's metadata, reading the children's
 /// cached [`NodeMeta`] rather than traversing.
-pub trait Internable: Clone + Eq + Hash {
+pub trait Internable: Clone + Eq + Hash + 'static {
     /// Computes the metadata of this node from its children's cached
     /// metadata.
     fn compute_meta(&self) -> NodeMeta;
@@ -359,7 +369,8 @@ struct NodeInner<T> {
 /// are by [`NodeId`] — O(1), and equivalent to structural equality for
 /// handles from the same interner (see the module invariants).
 pub struct Node<T: Internable> {
-    inner: Rc<NodeInner<T>>,
+    /// Taken exactly once, by `Drop`.
+    inner: ManuallyDrop<Rc<NodeInner<T>>>,
 }
 
 impl<T: Internable> Node<T> {
@@ -403,8 +414,44 @@ impl<T: Internable> Node<T> {
 
 impl<T: Internable> Clone for Node<T> {
     fn clone(&self) -> Node<T> {
-        Node { inner: Rc::clone(&self.inner) }
+        Node { inner: ManuallyDrop::new(Rc::clone(&self.inner)) }
     }
+}
+
+impl<T: Internable> Drop for Node<T> {
+    fn drop(&mut self) {
+        // SAFETY: `inner` is taken once, here, and never read again.
+        let inner = unsafe { ManuallyDrop::take(&mut self.inner) };
+        if Rc::strong_count(&inner) == 1 {
+            release(inner);
+        }
+    }
+}
+
+thread_local! {
+    /// Whether a [`release`] on this thread is freeing nodes.
+    static RELEASING: Cell<bool> = const { Cell::new(false) };
+    /// Nodes whose last handle died while another node was being freed,
+    /// waiting for the outermost [`release`] to free them in turn.
+    static DOOMED: RefCell<Vec<Rc<dyn Any>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Frees a node whose last handle just died, with its dead descendants,
+/// in constant stack depth: a child whose last handle dies while its
+/// parent is freed is queued rather than freed in a nested call, so
+/// dropping a term as deep as any a small thread can build is safe.
+fn release(last: Rc<dyn Any>) {
+    if RELEASING.replace(true) {
+        // Once the queue is gone (thread teardown), `last` is freed by
+        // plain recursion as the unrun closure drops it.
+        let _ = DOOMED.try_with(move |doomed| doomed.borrow_mut().push(last));
+        return;
+    }
+    drop(last);
+    while let Some(next) = DOOMED.try_with(|doomed| doomed.borrow_mut().pop()).ok().flatten() {
+        drop(next);
+    }
+    RELEASING.set(false);
 }
 
 impl<T: Internable> std::ops::Deref for Node<T> {
@@ -611,18 +658,69 @@ pub fn mix_env_entry(
     h.finish()
 }
 
-/// How many insertions between dead-entry sweeps of the interner table.
-const PRUNE_INTERVAL: usize = 8192;
+/// The table is never swept before it holds this many slots.
+const MIN_SWEEP_AT: usize = 8192;
+
+/// The weak handles of the nodes whose structural hash is one table key.
+/// A second member needs a real 64-bit collision, so almost every slot is
+/// a [`Slot::One`].
+enum Slot<T> {
+    One(Weak<NodeInner<T>>),
+    Many(Vec<Weak<NodeInner<T>>>),
+}
+
+impl<T: Internable> Slot<T> {
+    /// The live member structurally equal to `value`, if any.
+    fn find(&self, value: &T) -> Option<Rc<NodeInner<T>>> {
+        let live_equal =
+            |weak: &Weak<NodeInner<T>>| weak.upgrade().filter(|inner| inner.value == *value);
+        match self {
+            Slot::One(weak) => live_equal(weak),
+            Slot::Many(weaks) => weaks.iter().find_map(live_equal),
+        }
+    }
+
+    /// Adds a fresh node: it takes over a dead `One`, and joins a `Many`
+    /// after the dead members are dropped.
+    fn add(&mut self, fresh: Weak<NodeInner<T>>) {
+        match self {
+            Slot::One(weak) if weak.strong_count() == 0 => *weak = fresh,
+            Slot::One(weak) => {
+                let live = std::mem::replace(weak, Weak::new());
+                *self = Slot::Many(vec![live, fresh]);
+            }
+            Slot::Many(weaks) => {
+                weaks.retain(|weak| weak.strong_count() > 0);
+                weaks.push(fresh);
+            }
+        }
+    }
+
+    /// Drops the dead members; `false` when none is left alive.
+    fn retain_live(&mut self) -> bool {
+        match self {
+            Slot::One(weak) => weak.strong_count() > 0,
+            Slot::Many(weaks) => {
+                weaks.retain(|weak| weak.strong_count() > 0);
+                !weaks.is_empty()
+            }
+        }
+    }
+}
 
 /// A deduplicating constructor for [`Node`]s.
 ///
-/// The table holds *weak* references: a node whose last handle is dropped
-/// is garbage like any other `Rc`, and its table entry is swept out on a
-/// periodic prune. Ids are never reused.
+/// The table is keyed by the head's structural hash and holds only *weak*
+/// handles, so it keeps no node — and no part of one — alive: a node whose
+/// last handle is dropped is freed at once, together with every child
+/// only it held (invariant 4). Its dead slot is reused when a value with
+/// the same hash is interned again, and swept out once the table has
+/// doubled since the last sweep (never below 8,192 slots), so
+/// sweeping costs amortized O(1) per new slot. Ids are never reused.
 pub struct Interner<T: Internable> {
-    map: FxHashMap<T, Weak<NodeInner<T>>>,
+    map: FxHashMap<u64, Slot<T>>,
     next_id: u64,
-    inserts_since_prune: usize,
+    sweep_at: usize,
     stats: InternStats,
 }
 
@@ -638,37 +736,48 @@ impl<T: Internable> Interner<T> {
         Interner {
             map: FxHashMap::default(),
             next_id: 0,
-            inserts_since_prune: 0,
+            sweep_at: MIN_SWEEP_AT,
             stats: InternStats::default(),
         }
     }
 
     /// Interns `value`: returns the existing node when a structurally
     /// identical live one exists, otherwise computes the metadata and
-    /// allocates a fresh node with the next id.
+    /// moves `value` into a fresh node with the next id. The head is
+    /// hashed once, and `value` is never cloned.
     pub fn intern(&mut self, value: T) -> Node<T> {
-        if let Some(weak) = self.map.get(&value) {
-            if let Some(inner) = weak.upgrade() {
-                self.stats.hits += 1;
-                return Node { inner };
-            }
-        }
-        self.stats.misses += 1;
-        let meta = value.compute_meta();
         let mut hasher = FxHasher::default();
         value.hash(&mut hasher);
         let hash = hasher.finish();
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        let inner = Rc::new(NodeInner { id, hash, meta, value: value.clone() });
-        self.map.insert(value, Rc::downgrade(&inner));
-        self.inserts_since_prune += 1;
-        if self.inserts_since_prune >= PRUNE_INTERVAL {
-            self.inserts_since_prune = 0;
-            self.stats.prunes += 1;
-            self.map.retain(|_, weak| weak.strong_count() > 0);
+        let inner = match self.map.entry(hash) {
+            Entry::Occupied(mut slot) => {
+                if let Some(inner) = slot.get().find(&value) {
+                    self.stats.hits += 1;
+                    return Node { inner: ManuallyDrop::new(inner) };
+                }
+                let inner = allocate(&mut self.next_id, hash, value);
+                slot.get_mut().add(Rc::downgrade(&inner));
+                inner
+            }
+            Entry::Vacant(slot) => {
+                let inner = allocate(&mut self.next_id, hash, value);
+                slot.insert(Slot::One(Rc::downgrade(&inner)));
+                inner
+            }
+        };
+        self.stats.misses += 1;
+        if self.map.len() >= self.sweep_at {
+            self.sweep();
         }
-        Node { inner }
+        Node { inner: ManuallyDrop::new(inner) }
+    }
+
+    /// Removes every slot with no live member, then waits for the table
+    /// to double before the next sweep.
+    fn sweep(&mut self) {
+        self.map.retain(|_, slot| slot.retain_live());
+        self.sweep_at = MIN_SWEEP_AT.max(2 * self.map.len());
+        self.stats.prunes += 1;
     }
 
     /// A snapshot of the hit/miss counters.
@@ -676,7 +785,8 @@ impl<T: Internable> Interner<T> {
         self.stats
     }
 
-    /// Number of table entries (live nodes plus not-yet-pruned dead ones).
+    /// Number of table slots: one per structural hash of a live node, plus
+    /// dead slots not yet reused or swept.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -685,6 +795,15 @@ impl<T: Internable> Interner<T> {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
+}
+
+/// A fresh node for `value` with the next id; its metadata is computed
+/// here, once (invariant 3).
+fn allocate<T: Internable>(next_id: &mut u64, hash: u64, value: T) -> Rc<NodeInner<T>> {
+    let meta = value.compute_meta();
+    let id = NodeId(*next_id);
+    *next_id += 1;
+    Rc::new(NodeInner { id, hash, meta, value })
 }
 
 #[cfg(test)]
@@ -791,6 +910,107 @@ mod tests {
         // The handle is dropped; interning again may not reuse the id.
         let second = i.intern(Mini::Var(sym("gone")));
         assert_ne!(first_id, second.id(), "ids are never reused");
+        assert_eq!((i.len(), members(&i)), (1, 1), "the dead slot was taken over");
+    }
+
+    /// The number of weak handles the table holds, over all slots.
+    fn members<T: Internable>(i: &Interner<T>) -> usize {
+        i.map.values().map(|slot| if let Slot::Many(weaks) = slot { weaks.len() } else { 1 }).sum()
+    }
+
+    /// `Lam(x, Lam(x, … Var(x)))`, `depth` nodes deep.
+    fn chain(i: &mut Interner<Mini>, depth: usize) -> Node<Mini> {
+        let mut node = i.intern(Mini::Var(sym("x")));
+        for _ in 1..depth {
+            node = i.intern(Mini::Lam(sym("x"), node));
+        }
+        node
+    }
+
+    #[test]
+    fn a_dropped_term_is_reclaimed_whole_by_one_sweep() {
+        let mut i = Interner::new();
+        let _live = i.intern(Mini::Var(sym("kept")));
+        drop(chain(&mut i, 300));
+        assert_eq!(i.len(), 301, "dead slots stay until reused or swept");
+        i.sweep();
+        assert_eq!(i.len(), 1, "one sweep leaves only the live node");
+        assert_eq!(i.stats().prunes, 1);
+    }
+
+    /// [`Mini`] with a constant hash: every value lands in one slot.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    struct Clash(Mini);
+
+    impl Hash for Clash {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u64(7);
+        }
+    }
+
+    impl Internable for Clash {
+        fn compute_meta(&self) -> NodeMeta {
+            NodeMeta::leaf(FreeVars::closed())
+        }
+    }
+
+    #[test]
+    fn full_hash_collisions_keep_values_apart() {
+        let mut i = Interner::new();
+        let names = ["a", "b", "c", "d"];
+        let nodes: Vec<Node<Clash>> =
+            names.iter().map(|n| i.intern(Clash(Mini::Var(sym(n))))).collect();
+        assert_eq!(i.len(), 1, "one hash, one slot");
+        assert_eq!(members(&i), names.len());
+        for (a, b) in nodes.iter().zip(nodes.iter().skip(1)) {
+            assert!(!a.same(b), "distinct values get distinct nodes");
+        }
+        for (node, name) in nodes.iter().zip(names) {
+            assert!(i.intern(Clash(Mini::Var(sym(name)))).same(node), "re-interning {name}");
+        }
+        assert_eq!(i.stats().hits, 4);
+
+        // Dead members leave the slot when the next member joins it.
+        let mut nodes = nodes;
+        nodes.truncate(1);
+        let fresh = i.intern(Clash(Mini::Var(sym("e"))));
+        assert_eq!(members(&i), 2);
+        drop((nodes, fresh));
+        i.sweep();
+        assert!(i.is_empty(), "a slot with no live member is swept");
+    }
+
+    #[test]
+    fn sweeps_wait_for_the_table_to_double() {
+        let mut i = Interner::new();
+        let leaves: Vec<Node<Mini>> =
+            (0..320).map(|k| i.intern(Mini::Var(sym(&format!("leaf{k}"))))).collect();
+        let mut live = Vec::new();
+        for a in &leaves {
+            for b in &leaves {
+                live.push(i.intern(Mini::Pair(a.clone(), b.clone())));
+            }
+        }
+        let n = i.len();
+        assert_eq!(n, 320 + 320 * 320);
+        let bound = (n as f64 / MIN_SWEEP_AT as f64).log2().ceil() as u64 + 1;
+        assert!(i.stats().prunes <= bound, "{} sweeps for {n} nodes", i.stats().prunes);
+    }
+
+    #[test]
+    fn dropping_a_deep_term_does_not_overflow_a_small_stack() {
+        let dropped = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut i = Interner::new();
+                drop(chain(&mut i, 20_000));
+                i.sweep();
+                i.len()
+            })
+            .expect("spawn")
+            .join()
+            .expect("the drop cascade fits the stack");
+        assert_eq!(dropped, 0);
     }
 
     #[test]
